@@ -22,10 +22,9 @@ Reference semantics being matched:
 Both clients hold only plain config (picklable) — construct them in an
 actor's ``__init__`` and they open connections lazily per request. Wiring:
 
-    engine = LLMExtractorEngine(OpenAICompatClient.from_env())
-    build_kg(inp, out, cfg, engine=engine)
+    build_kg(inp, out, cfg, engine_factory=llm_engine_from_env)
     embed_dataset(ds, concurrency=8,
-                  embedder_factory=OpenAIEmbeddingClient.from_env)
+                  embedder=OpenAIEmbeddingClient.from_env())
 """
 
 from __future__ import annotations
@@ -232,7 +231,7 @@ class OpenAIEmbeddingClient(_BaseClient):
 def llm_engine_from_env(**overrides):
     """One-liner production wiring: env → chat client → extractor engine.
 
-    >>> build_kg(inp, out, cfg, engine=llm_engine_from_env())
+    >>> build_kg(inp, out, cfg, engine_factory=llm_engine_from_env)
     """
     from .extract.llm import LLMExtractorEngine
     return LLMExtractorEngine(OpenAICompatClient.from_env(**overrides))

@@ -56,12 +56,7 @@ class KGConfig:
     # instead of piling into one task (straggler observed at 64), large
     # enough to amortize per-task dispatch (A/B: 16 beats 4 by ~10%)
     extract_batch_size: int = 16
-    # Actor-pool size for the extract stage. "auto" = (1, cluster_cpus - 2):
-    # never reserve every CPU with long-lived actors or the read/write tasks
-    # of the same pipeline starve and the job livelocks.
-    extract_concurrency: "int | tuple | str" = "auto"
     chunk_batch_size: int = 256
-    target_block_rows: int = 65536
 
     # --- materialization ---
     min_rows_per_file: int = 200_000

@@ -347,18 +347,18 @@ def judge_match_edges(pairs: "ray.data.Dataset", nodes: "ray.data.Dataset",
                       concurrency: int = 4,
                       batch_size: int = 16,
                       max_concurrent: int = 8,
-                      num_cpus: float = 0.25,
                       scheduling_strategy: "str | None" = None
                       ) -> "ray.data.Dataset":
     """Filter canonicalize match edges (src, dst, sim) through the LLM
     pairwise judge. Node attributes are broadcast once (``ray.put`` — the
     canonical node table is vocabulary-sized) and attached per batch; the
     judge itself runs as an actor pool sized ``concurrency``, each actor
-    fanning its batch over ``max_concurrent`` threads and costing
-    ``num_cpus`` of a core — the same latency-bound pool shape as
-    ``extract_mentions_llm`` (one ~seconds API call per pair; a serial
-    per-actor loop would cap in-flight at the actor count). Drop-in
-    between ``link_entities`` and ``connected_components``."""
+    fanning its batch over ``max_concurrent`` threads and reserving no
+    CPU — the endpoint-bound pool policy of
+    ``stages.extract.extract_mentions_llm`` (one ~seconds API call per
+    pair; a serial per-actor loop would cap in-flight at the actor
+    count). Drop-in between ``link_entities`` and
+    ``connected_components``."""
     import pyarrow as pa
     import ray
 
@@ -394,13 +394,8 @@ def judge_match_edges(pairs: "ray.data.Dataset", nodes: "ray.data.Dataset",
                                            pa.list_(pa.string()))))
         return out
 
-    # cap the pool's reservation below the cluster and give it enough
-    # input blocks to occupy every actor (same two hazards as
-    # extract_mentions_llm: a full-cluster reservation livelocks the
-    # upstream map; one-task-per-block idles the pool)
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_cpus = min(num_cpus, max(0.01, (cpus - 2) / concurrency))
+    # enough input blocks to occupy every actor (one task per block
+    # would idle the pool, as in extract_mentions_llm)
     enriched = (pairs.repartition(2 * concurrency)
                 .map_batches(attach, batch_format="pyarrow"))
     extra = ({"scheduling_strategy": scheduling_strategy}
@@ -410,7 +405,7 @@ def judge_match_edges(pairs: "ray.data.Dataset", nodes: "ray.data.Dataset",
         fn_constructor_kwargs={"llm_factory": llm_factory,
                                "max_concurrent": max_concurrent},
         batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=num_cpus, **extra)
+        concurrency=concurrency, num_cpus=0, **extra)
     return judged.select_columns(list(pairs.schema().names))
 
 

@@ -112,17 +112,20 @@ def main(argv=None) -> int:
     import ray
     if not ray.is_initialized():
         # inside `ray job submit` the cluster address comes from the job
-        # runtime env; standalone this starts a local session
+        # runtime env; RAY_ADDRESS=local starts a session in this process,
+        # the only case where session-level settings may be passed (Ray
+        # rejects them when connecting to an existing cluster)
+        address = os.environ.get("RAY_ADDRESS") or "auto"
         init_kw = {}
-        if args.object_store_memory:
-            init_kw["object_store_memory"] = args.object_store_memory
-        if args.spill_dir:
-            init_kw["_system_config"] = {
-                "object_spilling_config": json.dumps(
-                    {"type": "filesystem",
-                     "params": {"directory_path": args.spill_dir}})}
-        ray.init(address=os.environ.get("RAY_ADDRESS", "auto"),
-                 ignore_reinit_error=True, **init_kw)
+        if address == "local":
+            if args.object_store_memory:
+                init_kw["object_store_memory"] = args.object_store_memory
+            if args.spill_dir:
+                init_kw["_system_config"] = {
+                    "object_spilling_config": json.dumps(
+                        {"type": "filesystem",
+                         "params": {"directory_path": args.spill_dir}})}
+        ray.init(address=address, ignore_reinit_error=True, **init_kw)
 
     from agraph_ray.config import KGConfig
     from agraph_ray.pipelines.kg_build import build_kg, build_kg_resumable

@@ -354,23 +354,18 @@ class ImageCaptioner:
 def caption_images(ds: "ray.data.Dataset", client_factory,
                    prompt: str = _CAPTION_PROMPT,
                    concurrency: int = 4, batch_size: int = 8,
-                   max_concurrent: int = 8,
-                   num_cpus: float = 0.25) -> "ray.data.Dataset":
+                   max_concurrent: int = 8) -> "ray.data.Dataset":
     """Vision captioning over a media table — the reference's
     ImageProcessor as a latency-bound actor pool (in-flight =
-    concurrency x max_concurrent, decoupled from CPUs; reservation
-    capped below the cluster like the extraction pool)."""
-    import ray
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_cpus = min(num_cpus, max(0.01, (cpus - 2) / concurrency))
+    concurrency x max_concurrent, decoupled from CPUs; zero-CPU actors
+    per the policy in ``stages.extract.extract_mentions_llm``)."""
     return ds.map_batches(
         ImageCaptioner,
         fn_constructor_kwargs={"client_factory": client_factory,
                                "prompt": prompt,
                                "max_concurrent": max_concurrent},
         batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=num_cpus)
+        concurrency=concurrency, num_cpus=0)
 
 
 def extract_media_metadata(ds: "ray.data.Dataset") -> "ray.data.Dataset":

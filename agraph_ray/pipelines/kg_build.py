@@ -89,40 +89,30 @@ def _mentions_to_outputs(out_dir: str, cfg: KGConfig,
                 "obj", "obj_type", "head_id", "tail_id", "description",
                 "properties", "confidence", "source", "n_mentions"]
 
+    t = time.time()
     if mentions is None:
-        entities = rd.read_parquet(mentions_dir, columns=ent_cols,
-                                   filter=pc.field("kind") == "entity")
-        triples = rd.read_parquet(mentions_dir, columns=tri_cols,
-                                  filter=pc.field("kind") == "triple")
+        # Parquet-checkpoint regime (mentions exceeded the store): the
+        # FUSED single-scan dedup reads the checkpoint ONCE for both
+        # kinds (stages/dedup.py dedup_both) — halves the dominant I/O
+        # vs two pruned per-kind reads.
+        fused_cols = sorted(set(ent_cols) | set(tri_cols))
+        nodes, edges = dedup_both(
+            rd.read_parquet(mentions_dir, columns=fused_cols), cfg)
+        nodes, edges = nodes.materialize(), edges.materialize()
     else:
+        # In-memory regime: per-kind branches overlap on threads — each
+        # side's per-execution serial overhead hides under the other.
+        # A/B at 554k turns / 32 CPUs, writes no-opped: overlapped
+        # per-kind 3.9-5.5 s vs fused single-scan 5.8-7.8 s (both pandas
+        # partials serialize inside each fused task), so in-store
+        # re-scans stay per-kind; sequential was 7.6-11.5 s (r2
+        # measurement).
         entities = mentions.map_batches(
             lambda t: t.filter(pc2.equal(t["kind"], "entity"))
             .select(ent_cols), batch_format="pyarrow")
         triples = mentions.map_batches(
             lambda t: t.filter(pc2.equal(t["kind"], "triple"))
             .select(tri_cols), batch_format="pyarrow")
-
-    t = time.time()
-    pair = None
-    if mentions is None:
-        # Parquet-checkpoint regime (mentions exceeded the store): the
-        # FUSED single-scan dedup reads the checkpoint ONCE for both
-        # kinds (stages/dedup.py dedup_both) — halves the dominant I/O
-        # vs the two pruned per-kind reads. Returns None (fall through)
-        # when the partial volume exceeds its cap.
-        fused_cols = sorted(set(ent_cols) | set(tri_cols))
-        pair = dedup_both(rd.read_parquet(mentions_dir, columns=fused_cols),
-                          cfg)
-    if pair is not None:
-        nodes, edges = pair[0].materialize(), pair[1].materialize()
-    else:
-        # In-memory regime (and fused-cap fallback): per-kind branches
-        # overlap on threads — each side's per-execution serial overhead
-        # hides under the other. A/B at 554k turns / 32 CPUs, writes
-        # no-opped: overlapped per-kind 3.9-5.5 s vs fused single-scan
-        # 5.8-7.8 s (both pandas partials serialize inside each fused
-        # task), so in-store re-scans stay per-kind; sequential was
-        # 7.6-11.5 s (r2 measurement).
         f_nodes = pool.submit(
             lambda: dedup_entities(entities, cfg).materialize())
         f_edges = pool.submit(
@@ -341,25 +331,10 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
     groups: List[List[str]] = [
         list(shard_paths[i:i + shards_per_partition])
         for i in range(0, len(shard_paths), shards_per_partition)]
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) \
-        if _ray.is_initialized() else 8
     if group_concurrency is None:
+        cpus = int(_ray.cluster_resources().get("CPU", 8)) \
+            if _ray.is_initialized() else 8
         group_concurrency = 1 if cpus < 16 else max(2, min(4, cpus // 16))
-    if engine_factory is not None and group_concurrency > 1:
-        # Concurrent groups each spawn their own latency-bound actor
-        # pool, and extract_mentions_llm's reservation cap assumes the
-        # pool is ALONE — k coexisting pools would jointly reserve
-        # k x (cpus-2) and livelock the upstream maps (observed at 16
-        # CPUs x 2 groups). Divide the per-pool budget by the group
-        # concurrency instead: the pools together still leave the
-        # 2-CPU task headroom, and overlapping groups hides each
-        # pool's ~seconds spin-up under the previous group's drain.
-        llm_opts = dict(llm_opts or {})
-        num_actors = int(llm_opts.get("num_actors") or
-                         max(2, 2 * cpus))
-        llm_opts["num_actors"] = num_actors
-        llm_opts.setdefault("num_cpus", max(
-            0.01, (cpus - 2) / (num_actors * group_concurrency)))
     if metrics is not None:
         metrics["n_partitions"] = len(groups)
         metrics.setdefault("skipped", 0)

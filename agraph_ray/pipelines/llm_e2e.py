@@ -56,26 +56,21 @@ def _embed_phase(out_dir: str, cfg: KGConfig, embedder, embed_dim: int,
                  metrics: Dict) -> str:
     """nodes_exact → (id, vec) ANN shard files + manifest.json."""
     import pyarrow as pa
+    import pyarrow.dataset as pads
     import ray.data as rd
 
-    from ..stages.embed import embed_dataset
-
-    import ray
+    from ..stages.embed import EMBED_BATCH_ROWS, embed_dataset
 
     ann_dir = os.path.join(out_dir, "ann_index")
+    nodes_dir = os.path.join(out_dir, "nodes_exact")
     if concurrency is None:
-        # Ray Data map_batches actors reserve 1 CPU each for their
-        # LIFETIME — a pool sized to the whole cluster starves the
-        # read/write tasks feeding it (measured: concurrency=4 on a
-        # 4-CPU cluster hung this phase indefinitely). Leave 2 CPUs of
-        # headroom, same policy as stages/extract.py::_auto_concurrency.
-        cpus = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-        concurrency = max(1, min(4, cpus - 2))
+        # one actor per embed batch, at most 4: the client actors reserve
+        # no CPU, so the pool is sized by its input, not the cluster
+        n_nodes = pads.dataset(nodes_dir, format="parquet").count_rows()
+        concurrency = max(1, min(4, -(-n_nodes // EMBED_BATCH_ROWS)))
     nodes = rd.read_parquet(
-        os.path.join(out_dir, "nodes_exact"),
-        columns=["entity_id", "name", "description", "aliases",
-                 "entity_type"])
+        nodes_dir, columns=["entity_id", "name", "description", "aliases",
+                            "entity_type"])
     emb = embed_dataset(nodes, render="entity", dim=embed_dim,
                         concurrency=concurrency, embedder=embedder)
     shards = emb.map_batches(
@@ -166,11 +161,9 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
     tables: Dict[str, str] = {}
 
     # -- 1: partitioned LLM extract (resumes at partition granularity).
-    # Concurrent groups are safe for the LLM pool path:
-    # run_mention_partitions divides each pool's CPU-reservation budget
-    # by the group concurrency (two full-budget pools would jointly
-    # over-reserve and livelock — observed at 16 CPUs x 2 groups before
-    # the division), and overlapping groups hides per-pool spin-up.
+    # Concurrent groups are safe for the LLM pool path: its actors
+    # reserve no CPU, so coexisting pools cannot starve the upstream
+    # maps, and overlapping groups hides per-pool spin-up.
     t = time.time()
     run_mention_partitions(shard_paths, out_dir, cfg, shards_per_partition,
                            None, engine_factory, llm_opts,

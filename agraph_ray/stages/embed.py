@@ -23,6 +23,9 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+# rows per embed task — the Ray batch, not the API request (embed_dataset)
+EMBED_BATCH_ROWS = 4096
+
 
 def entity_to_text(name: str, description: str = "", aliases=None,
                    entity_type: str = "") -> str:
@@ -136,18 +139,20 @@ def embed_dataset(ds: "ray.data.Dataset", render: str = "raw",
     the compute (observed 26 s -> 3 s with 4096). The deterministic
     stand-in runs as elastic stateless tasks; pass ``concurrency`` to get
     an actor pool, the right shape for a real API-client embedder
-    (connection + rate-limiter state per actor). ``embedder`` swaps the
+    (connection + rate-limiter state per actor; zero-CPU actors per the
+    endpoint-bound pool policy in
+    ``stages.extract.extract_mentions_llm``). ``embedder`` swaps the
     deterministic HashEmbedder for a real client (e.g.
     ``clients.OpenAIEmbeddingClient.from_env()`` — picklable config-only,
     so each actor reconstructs its own connections)."""
-    batch_size = batch_size or 4096
+    batch_size = batch_size or EMBED_BATCH_ROWS
     if concurrency:
         return ds.map_batches(
             EmbedStage, batch_format="pyarrow", batch_size=batch_size,
             fn_constructor_kwargs={"render": render, "dim": dim,
                                    "text_col": text_col,
                                    "embedder": embedder},
-            concurrency=concurrency)
+            concurrency=concurrency, num_cpus=0)
     stage = EmbedStage(render=render, dim=dim, text_col=text_col,
                        embedder=embedder)
     return ds.map_batches(stage, batch_format="pyarrow",

@@ -180,16 +180,6 @@ class ExtractStage:
 _BRANCH_OVERLAP_BYTES = 64 << 20
 
 
-def _auto_concurrency() -> int:
-    """Fixed pool of cluster_cpus - 2: a pool that reserves every CPU
-    starves the read/write tasks of its own pipeline (observed livelock),
-    and an autoscaling (1, n) pool ramps too slowly for a CPU-bound stage
-    (A/B: fixed 30 beats autoscale (1,30) by ~15% at 32 CPUs)."""
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(2, cpus - 2)
-
-
 @functools.lru_cache(maxsize=4)
 def _worker_stage(conf_th: float, max_kw: int) -> "ExtractStage":
     """Per-worker-process engine cache. Ray reuses worker processes across
@@ -210,8 +200,9 @@ def extract_mentions(docs: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
     one-per-task; the rest batch normally. BOTH paths are stateless tasks
     (engine cached per worker process via ``_worker_stage``): a static
     actor pool sized to the cluster starves whichever path it doesn't
-    serve — observed: a cpus-2 actor pool for small docs left the mega-doc
-    tasks 2 CPU slots and serialized the skew tail into the critical path.
+    serve — observed: a pool holding all but two CPUs for small docs left
+    the mega-doc tasks 2 CPU slots and serialized the skew tail into the
+    critical path.
     Elastic tasks let Ray interleave both streams over every core.
     """
     import pyarrow.compute as pc
@@ -303,9 +294,9 @@ class LLMExtractStage(ExtractStage):
     at num_cpus. Instead each ACTOR fans its batch out over an internal
     thread pool (``max_concurrent`` in-flight requests per actor — the
     reference's semaphore bound, per actor instead of per process), and
-    the actor itself costs a FRACTION of a CPU (``num_cpus`` at the
-    map_batches call), so total in-flight = actors x max_concurrent can
-    exceed the core count by the latency/compute ratio.
+    the actor reserves no CPU (policy in :func:`extract_mentions_llm`),
+    so total in-flight = actors x max_concurrent is independent of the
+    core count.
 
     Engine construction happens once per actor in ``__init__`` via
     ``engine_factory`` (a zero-arg callable — keeps unpicklable client
@@ -329,39 +320,37 @@ def extract_mentions_llm(docs: "ray.data.Dataset", cfg=None, *,
                          engine_factory, num_actors: int = 0,
                          max_concurrent: int = 8,
                          batch_size: int = 32,
-                         num_cpus: float = 0.25,
                          scheduling_strategy: "str | None" = None
                          ) -> "ray.data.Dataset":
     """documents → mentions through a latency-bound LLM engine.
 
-    Pool sizing: in-flight requests = ``num_actors x max_concurrent``;
-    the endpoint's rate limit, not the cluster CPU count, should pick it.
-    ``num_cpus=0.25`` packs 4 actors per core — the per-request CPU work
-    (prompt build + JSON parse) is ~ms against ~seconds of latency, so
-    actors barely contend; raise it if the engine does local compute.
+    Endpoint-bound pool policy (shared by every pool that waits on an
+    API: this one, ``extract.llm.judge_match_edges``,
+    ``ops.multimodal.caption_images`` and ``stages.embed.embed_dataset``'s
+    actor branch): the actors are created with ``num_cpus=0``. Their
+    per-request CPU work (prompt build + JSON parse) is ~ms against
+    ~seconds of latency, so the actor count bounds IN-FLIGHT REQUESTS,
+    not CPU use, and the endpoint's rate limit — not the cluster CPU
+    count — should pick it. Reserving any CPU for them only takes slots
+    from the pipeline's own read/repartition/write tasks: at 1 logical
+    CPU even a 0.01-CPU actor leaves 0.99 CPU, and no default 1-CPU task
+    can ever schedule (the pipeline hangs).
+
+    Pool sizing: in-flight requests = ``num_actors x max_concurrent``.
     ``batch_size`` bounds per-actor in-memory results, and with
     ``max_concurrent`` in-flight per actor a batch drains in
     ``ceil(batch_size/max_concurrent) x 2 x latency`` — keep it a small
     multiple of ``max_concurrent`` so stragglers don't idle the pool.
-    Defaults: 2 x cpus actors x 8 in-flight ≈ 512 concurrent requests at
-    32 CPUs while using 8 cores of schedulable budget, leaving the rest
-    of the pipeline (reassembly, dedup shuffles) unstarved — measured in
-    ``bench.py --llm-sweep``.
+    Default: 2 x cpus actors x 8 in-flight ≈ 512 concurrent requests at
+    32 CPUs — measured in ``bench.py --llm-sweep``.
     """
     import ray
 
     cfg = cfg or KGConfig()
-    cpus = int(ray.cluster_resources().get("CPU", 4)) \
-        if ray.is_initialized() else 4
     if not num_actors:
+        cpus = int(ray.cluster_resources().get("CPU", 4)) \
+            if ray.is_initialized() else 4
         num_actors = max(2, 2 * cpus)
-    # A pool whose reservation covers EVERY cluster CPU livelocks the
-    # pipeline: the upstream read/repartition tasks can never schedule
-    # (observed: 128 actors x 0.25 cpu on a 32-CPU node hung the
-    # repartition indefinitely). Cap the pool's total reservation at
-    # cpus - 2, shrinking per-actor num_cpus — actors are latency-bound,
-    # so thinner reservations cost nothing.
-    num_cpus = min(num_cpus, max(0.01, (cpus - 2) / num_actors))
     # The pool can run at most one task per INPUT BLOCK — a documents
     # table read into ~2xCPU blocks would cap concurrent tasks far below
     # num_actors (observed: 8 blocks idling a 128-actor pool). Re-split
@@ -379,4 +368,4 @@ def extract_mentions_llm(docs: "ray.data.Dataset", cfg=None, *,
     return docs.map_batches(
         LLMExtractStage, fn_constructor_kwargs=fn_kwargs,
         batch_format="pyarrow", batch_size=batch_size,
-        concurrency=num_actors, num_cpus=num_cpus, **extra)
+        concurrency=num_actors, num_cpus=0, **extra)

@@ -77,8 +77,8 @@ def _get_matcher(names_ref, rels_ref):
 def _linker(names_ref, rels_ref):
     """Stateless-task closure: ray.get of a broadcast ref is a zero-copy
     object-store read on every node after the first fetch — no actor pool
-    needed (a pool sized near the CPU count can starve its own upstream
-    read tasks; see stages/extract.py::_auto_concurrency)."""
+    needed (a CPU-reserving pool sized near the CPU count can starve its
+    own upstream read tasks)."""
 
     def link_batch(batch: pa.Table) -> pa.Table:
         names, ac, by_head = _get_matcher(names_ref, rels_ref)

@@ -257,15 +257,17 @@ class AnnIndexActor:
 
     def save(self, path: str) -> int:
         """Persist this shard (normalized vectors; normalization is
-        idempotent on reload). Written by the actor — the matrix never
-        rides through the driver."""
+        idempotent on reload) — float64 vectors for a float64 shard, so
+        its exact scores survive a reload. Written by the actor — the
+        matrix never rides through the driver."""
         import pyarrow as pa
         import pyarrow.parquet as pq
-        dim = self.matrix.shape[1] if self.matrix.size else 0
+        mat = self.matrix64 if self.matrix64 is not None else self.matrix
+        dim = mat.shape[1] if mat.size else 0
         t = pa.table({
             "id": pa.array(self.ids.tolist(), pa.string()),
             "vec": pa.FixedSizeListArray.from_arrays(
-                pa.array(self.matrix.reshape(-1), pa.float32()), dim),
+                pa.array(mat.reshape(-1)), dim),
         })
         pq.write_table(t, path)
         return len(self.ids)
@@ -375,23 +377,16 @@ class AnnIndexActor:
         return len(self.ids)
 
 
-def _shard_opts(num_cpus: Optional[float],
-                scheduling_strategy: Optional[str] = None):
-    """Actor options for shard actors. Default: NO explicit num_cpus —
-    a plain actor reserves 1 CPU at creation but 0 for its lifetime, so
-    an idle pool never starves map tasks. Passing an explicit value
-    creates a LIFETIME reservation (sized pools × value must stay below
-    the cluster or query tasks livelock — measured: 9 actors × 0.67 CPU
-    on a 4-CPU cluster hung); use it only to pin placement/throughput on
-    a real multi-node cluster. ``scheduling_strategy="SPREAD"`` places
-    one shard per node so the index's aggregate memory/bandwidth scales
-    with the cluster instead of stacking on whichever node has room."""
-    opts = {}
-    if num_cpus is not None:
-        opts["num_cpus"] = num_cpus
+def _shard_opts(scheduling_strategy: Optional[str] = None):
+    """Actor options for shard actors. No explicit num_cpus: a plain
+    actor reserves 1 CPU at creation but 0 for its lifetime, so an idle
+    pool never starves map tasks. ``scheduling_strategy="SPREAD"``
+    places one shard per node so the index's aggregate memory/bandwidth
+    scales with the cluster instead of stacking on whichever node has
+    room."""
     if scheduling_strategy:
-        opts["scheduling_strategy"] = scheduling_strategy
-    return AnnIndexActor.options(**opts) if opts else AnnIndexActor
+        return AnnIndexActor.options(scheduling_strategy=scheduling_strategy)
+    return AnnIndexActor
 
 
 def merge_topk(parts, k: int):
@@ -413,12 +408,12 @@ class AnnShardPool:
 
     def __init__(self, ids: List[str], matrix: np.ndarray,
                  num_shards: int = 4, ivf_nlist: int = 0, pq_m: int = 0,
-                 hnsw_m: int = 0, num_cpus: Optional[float] = None,
-                 precision: str = "float32",
+                 hnsw_m: int = 0, precision: str = "float32",
                  scheduling_strategy: Optional[str] = None):
         n = max(1, min(num_shards, len(ids)))
         bounds = np.linspace(0, len(ids), n + 1, dtype=int)
-        opts = _shard_opts(num_cpus, scheduling_strategy)
+        self.precision = precision
+        opts = _shard_opts(scheduling_strategy)
         self.shards = [
             opts.remote(list(np.asarray(ids)[a:b]), matrix[a:b],
                         ivf_nlist=ivf_nlist, pq_m=pq_m,
@@ -451,7 +446,8 @@ class AnnShardPool:
         files = [f"shard-{i:05d}.parquet" for i in range(len(self.shards))]
         counts = ray.get([s.save.remote(os.path.join(out_dir, f))
                           for s, f in zip(self.shards, files)])
-        manifest = {"shards": files, "counts": counts}
+        manifest = {"shards": files, "counts": counts,
+                    "precision": self.precision}
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh)
         return manifest
@@ -459,18 +455,19 @@ class AnnShardPool:
     @classmethod
     def load(cls, out_dir: str, ivf_nlist: int = 0,
              pq_m: int = 0, hnsw_m: int = 0,
-             num_cpus: Optional[float] = None,
              scheduling_strategy: Optional[str] = None) -> "AnnShardPool":
         """Rebuild a pool from :meth:`save` output — each actor reads its
-        own shard file; no vector data crosses the driver. Pass
-        ``ivf_nlist``/``pq_m``/``hnsw_m`` to rebuild the in-shard index
-        on load (each actor trains over its own shard, concurrently)."""
+        own shard file; no vector data crosses the driver. The saved
+        ``precision`` is restored. Pass ``ivf_nlist``/``pq_m``/``hnsw_m``
+        to rebuild the in-shard index on load (each actor trains over its
+        own shard, concurrently)."""
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
         pool = cls.__new__(cls)
-        opts = _shard_opts(num_cpus, scheduling_strategy)
+        pool.precision = manifest.get("precision", "float32")
+        opts = _shard_opts(scheduling_strategy)
         pool.shards = [opts.remote(path=os.path.join(out_dir, f),
                                    ivf_nlist=ivf_nlist, pq_m=pq_m,
-                                   hnsw_m=hnsw_m)
+                                   hnsw_m=hnsw_m, precision=pool.precision)
                        for f in manifest["shards"]]
         return pool

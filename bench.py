@@ -118,9 +118,8 @@ def run_bench() -> dict:
         # at bench-sized partitions each group's work is pool-spin-up
         # bound, so overlap + right-sized pools beat one big serial
         # pool (measured 9.3 s vs 17.5 s extract at sf0.1/32; the
-        # per-pool reservation budget is divided by the group
-        # concurrency in run_mention_partitions, so the groups can't
-        # jointly over-reserve)
+        # pool actors reserve no CPU, so the groups can't jointly
+        # over-reserve)
         build_kg_llm_e2e(
             sorted(_glob.glob(os.path.join(inp, "*.parquet"))), e2e_out,
             cfg,

@@ -686,3 +686,30 @@ def test_ann_pool_hnsw_save_load(ray_session, tmp_path):
     loaded = AnnShardPool.load(str(tmp_path / "ann"), hnsw_m=8)
     l_ids, _ = loaded.query_hnsw(q, k=5, ef=48)
     assert (l_ids == h_ids).all()
+
+
+def test_ann_pool_float64_survives_save_load(ray_session, tmp_path):
+    """A float64 pool reloads as float64: two candidates whose float32
+    cosines tie with the query keep their float64 order after save and
+    load (the manifest records the precision, shards keep float64
+    vectors)."""
+    import numpy as np
+
+    from agraph_ray.state.ann import AnnShardPool
+    rng = np.random.default_rng(5)
+    # v1 is closer to the query than v0 by ~1.5e-8 in cosine: below
+    # float32 resolution at 1.0, so only float64 scoring separates them
+    near = np.array([[1.0, 2e-4, 0.0], [1.0, 1e-4, 0.0]])
+    far = rng.normal(size=(30, 3)) * [0.1, 1.0, 1.0]
+    mat = np.vstack([near, far])
+    ids = [f"v{i}" for i in range(len(mat))]
+    q = np.array([[1.0, 0.0, 0.0]])
+    pool = AnnShardPool(ids, mat, num_shards=3, precision="float64")
+    ids_before, sims_before = pool.query(q, k=2)
+    assert list(ids_before[0]) == ["v1", "v0"]
+    pool.save(str(tmp_path / "ann64"))
+    loaded = AnnShardPool.load(str(tmp_path / "ann64"))
+    ids_after, sims_after = loaded.query(q, k=2)
+    assert sims_after.dtype == np.float64
+    assert (ids_after == ids_before).all()
+    assert np.allclose(sims_after, sims_before, rtol=0, atol=1e-12)

@@ -573,7 +573,7 @@ def test_inv_dense_time_series(ray_session):
 
 
 def test_inv_llm_extract_pool(ray_session):
-    """extract_mentions_llm (repartition + fraction-CPU actor pool +
+    """extract_mentions_llm (repartition + zero-CPU actor pool +
     in-actor threads) must be a pure execution strategy: identical
     mentions for any input block layout."""
     from agraph_ray.config import KGConfig

@@ -113,3 +113,40 @@ def test_job_e2e_flag_wiring(monkeypatch, tmp_path):
     assert captured["ann_sim_threshold"] == 0.85
     assert captured["judge_opts"] == {"max_concurrent": 4,
                                       "scheduling_strategy": "SPREAD"}
+
+
+@pytest.mark.parametrize("address,starts_session", [
+    ("local", True), ("10.0.0.1:6379", False), ("", False)])
+def test_job_session_flags_only_when_starting_session(
+        monkeypatch, tmp_path, address, starts_session):
+    """--object-store-memory / --spill-dir reach ray.init only when this
+    process starts the session (RAY_ADDRESS=local); Ray raises if they
+    are passed while connecting to an existing cluster."""
+    import ray
+
+    import agraph_ray.job as job
+
+    class Stop(Exception):
+        pass
+
+    seen = {}
+
+    def fake_init(**kw):
+        seen.update(kw)
+        raise Stop
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    monkeypatch.setattr(ray, "init", fake_init)
+    monkeypatch.setenv("RAY_ADDRESS", address)
+    with pytest.raises(Stop):
+        job.main(["--input", str(tmp_path), "--output",
+                  str(tmp_path / "o"), "--object-store-memory",
+                  str(1 << 30), "--spill-dir", str(tmp_path / "spill")])
+    assert seen["address"] == (address or "auto")
+    session_kw = {"object_store_memory", "_system_config"}
+    if starts_session:
+        assert seen["object_store_memory"] == 1 << 30
+        assert str(tmp_path / "spill") in \
+            seen["_system_config"]["object_spilling_config"]
+    else:
+        assert not session_kw & set(seen)

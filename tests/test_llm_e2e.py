@@ -7,6 +7,7 @@ transports (identical client/parse/retry code, no network).
 
 import glob
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -172,6 +173,61 @@ KILL_DRIVER = textwrap.dedent("""
                    "batch_size": 16}})
     os._exit(7)   # must not reach
 """)
+
+
+SMALL_CLUSTER_DRIVER = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, {repo!r})
+    import ray
+    ray.init(address="local", num_cpus={cpus}, include_dashboard=False,
+             logging_level="ERROR")
+    from ray.data import DataContext
+    DataContext.get_current().enable_progress_bars = False
+    from agraph_ray.config import KGConfig
+    from agraph_ray.mock_llm import (mock_chat_client,
+                                     mock_embedding_client,
+                                     mock_llm_engine_factory)
+    from agraph_ray.pipelines.llm_e2e import build_kg_llm_e2e
+    build_kg_llm_e2e(
+        {files!r}, {out!r}, KGConfig(hot_conv_turns=100, salt_span=64),
+        engine_factory=mock_llm_engine_factory(latency_sec=0.01),
+        embedder=mock_embedding_client(latency_sec=0.0, embedding_dim=64),
+        judge_llm_factory=lambda: mock_chat_client(latency_sec=0.01),
+        shards_per_partition=4, embed_dim=64, ann_sim_threshold=0.60,
+        llm_opts={{"num_actors": 8, "max_concurrent": 8,
+                   "batch_size": 16}})
+    ray.shutdown()
+""")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_e2e_completes_on_small_cluster(e2e_run, cpus):
+    """Endpoint-bound pools reserve no CPU, so the lifecycle's own read,
+    repartition and write tasks always find a free CPU: a 1- or 2-CPU
+    session finishes with the same graph as the 4-CPU run."""
+    base, files, out_ref, _ = e2e_run
+    out = os.path.join(base, f"out_cpus{cpus}")
+    script = SMALL_CLUSTER_DRIVER.format(repo=REPO, files=list(files),
+                                         out=out, cpus=cpus)
+    env = {**os.environ, "RAY_ADDRESS": ""}
+    # own process group: a hung run is killed with the Ray processes it
+    # started, not just the driver
+    p = subprocess.Popen([sys.executable, "-c", script], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, start_new_session=True)
+    try:
+        _, err = p.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail(f"build_kg_llm_e2e did not finish in 300 s at "
+                    f"{cpus} CPU(s)")
+    assert p.returncode == 0, err[-2000:]
+    ref_nodes, ref_names, _ = _final_counts(out_ref)
+    got_nodes, got_names, got_dangling = _final_counts(out)
+    assert (got_nodes, got_names) == (ref_nodes, ref_names)
+    assert got_dangling == 0
 
 
 @pytest.mark.slow

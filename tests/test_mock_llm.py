@@ -6,9 +6,9 @@ verdict #1 machinery). Pins:
 - the actor-pool path (:func:`extract_mentions_llm`) produces EXACTLY
   the rows of the single-task path with the same engine — threading
   and actor count change nothing;
-- the pool's CPU reservation is capped below the cluster size (the
-  livelock guard: a pool reserving every CPU starves its own upstream
-  repartition — observed hang before the fix).
+- a pool with more actors than cluster CPUs completes (the livelock
+  guard: the actors reserve no CPU, so they cannot starve their own
+  upstream repartition — observed hang when pools reserved CPUs).
 """
 
 import numpy as np
@@ -99,8 +99,9 @@ def test_llm_actor_pool_matches_single_task(ray_session):
 
 
 def test_llm_pool_cpu_reservation_capped(ray_session):
-    """A pool sized past the cluster must still complete (per-actor
-    num_cpus shrinks so total reservation stays below cluster CPUs)."""
+    """A pool sized past the cluster must still complete (endpoint-bound
+    actors reserve no CPU, so any actor count leaves the upstream tasks
+    their CPUs)."""
     from agraph_ray.mock_llm import mock_llm_engine_factory
     from agraph_ray.stages.extract import extract_mentions_llm
 
@@ -110,10 +111,9 @@ def test_llm_pool_cpu_reservation_capped(ray_session):
         "n_turns": pa.array([1] * 12, pa.int64()),
         "text": pa.array([f"{TEXT} Case {i}." for i in range(12)]),
     })
-    # 8 actors x 1.0 requested cpu on the 4-CPU test cluster would
-    # reserve 2x the cluster without the cap; with it, this completes
+    # 8 actors on the 4-CPU test cluster: twice the CPU count
     out = extract_mentions_llm(
         rd.from_arrow(docs), KGConfig(),
         engine_factory=mock_llm_engine_factory(latency_sec=0.0),
-        num_actors=8, max_concurrent=2, batch_size=4, num_cpus=1.0)
+        num_actors=8, max_concurrent=2, batch_size=4)
     assert out.count() > 0
