@@ -4480,8 +4480,8 @@ def _py_oracle_cdc_dedup(sf_dir: str):
 
     import pandas as pd
     import pyarrow.parquet as pq
-    from agraph_ray.ops.dedup import _gear_table
-    gear = [int(v) for v in _gear_table()]
+    gear = [int.from_bytes(_hl.md5(bytes([i])).digest()[:8], "little")
+            for i in range(256)]
     mask = (1 << 9) - 1
     m64 = (1 << 64) - 1
     t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
@@ -4556,16 +4556,26 @@ def _py_oracle_simhash_pairs(sf_dir: str):
 
 def _py_minhash_sigs(sf_dir: str):
     """Sequential per-doc shingle sets + 64-perm minhash signatures
-    (formulas transliterated from the spec constants)."""
+    (formulas transliterated from the spec; only constants are shared)."""
+    import hashlib as _hl
+
+    import pandas as pd
     import pyarrow.parquet as pq
     from agraph_ray.stages.canonicalize import (_GRAM_MULT, _MERSENNE,
-                                                _hash_tokens,
-                                                _perm_constants)
+                                                _TOKEN_HASH_KEY)
+
+    def _hash_tokens(toks):   # the spec's pinned-key SipHash
+        return pd.util.hash_array(np.asarray(toks, dtype=object),
+                                  hash_key=_TOKEN_HASH_KEY, categorize=False)
     t = pq.read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
-    perms = _perm_constants(64)
-    a_c = perms[:, 0][:, None]
-    b_c = perms[:, 1][:, None]
+    # permutation i = md5("agraph-ray-minhash-<i>") as (odd a, b) LE u64s
+    digests = [_hl.md5(f"agraph-ray-minhash-{i}".encode()).digest()
+               for i in range(64)]
+    a_c = np.array([int.from_bytes(d[:8], "little") | 1 for d in digests],
+                   dtype=np.uint64)[:, None]
+    b_c = np.array([int.from_bytes(d[8:], "little") for d in digests],
+                   dtype=np.uint64)[:, None]
     shingles, sigs = {}, {}
     for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
         toks = (text or "").lower().split()

@@ -111,13 +111,16 @@ def main(argv=None) -> int:
 
     import ray
     if not ray.is_initialized():
-        # inside `ray job submit` the cluster address comes from the job
-        # runtime env; RAY_ADDRESS=local starts a session in this process,
-        # the only case where session-level settings may be passed (Ray
-        # rejects them when connecting to an existing cluster)
-        address = os.environ.get("RAY_ADDRESS") or "auto"
+        # `ray job submit` sets RAY_ADDRESS; =local starts a session here,
+        # unset/empty joins the cluster `ray start` left on this host or
+        # starts one. Session-level settings go only to a session this
+        # process starts: Ray rejects them when joining a cluster.
+        from ray._private.services import find_bootstrap_address
+        address = os.environ.get("RAY_ADDRESS") or None
+        starts_session = address == "local" or (
+            address is None and find_bootstrap_address(None) is None)
         init_kw = {}
-        if address == "local":
+        if starts_session:
             if args.object_store_memory:
                 init_kw["object_store_memory"] = args.object_store_memory
             if args.spill_dir:

@@ -5,9 +5,9 @@ FieldRef.Name`` when a hash partition on either side comes up empty
 (its per-partition Arrow join probes a column on a zero-field empty
 table — easy to hit with few rows or skewed keys), so the
 engine ships its own partitioned-join primitive: tag both sides, union,
-hash-partition by key into bounded buckets, and run ONE vectorized pandas
-merge per bucket. Shuffle volume equals a hash join's; per-task memory is
-|data| / num_buckets.
+hash-partition by key into buckets, and run ONE vectorized pandas merge
+per sorted block (``stages/common.py``). Shuffle volume equals a hash
+join's; per-task memory is one block.
 
 For small build sides prefer ``broadcast_join`` — ``ray.put`` the lookup
 once and map over the probe side with zero shuffle (the classic

@@ -22,6 +22,30 @@ import pyarrow.compute as pc
 import ray
 
 
+def _topk(ds: "ray.data.Dataset", local, k: int, id_col: str,
+          vec_col: str) -> "ray.data.Dataset":
+    """Global top-k per query: ``local(batch)`` scores one batch and returns
+    its partial top-k as (query ids, ids, sims) lists; one reduce per block
+    then ranks by descending ``sim``, ties broken by ascending id."""
+    from ..stages.common import bucketed_group_reduce
+
+    def partial(batch: pa.Table) -> pa.Table:
+        q, ids, sims = local(batch)
+        return pa.Table.from_arrays(
+            [pa.array(q), pa.array(ids), pa.array(sims, pa.float64())],
+            names=["query_id", id_col, "sim"])
+
+    def final(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(["sim", id_col], ascending=[False, True],
+                            kind="mergesort")
+        df = df.groupby("query_id", sort=False).head(k).copy()
+        df["rank"] = df.groupby("query_id", sort=False).cumcount() + 1
+        return df
+    partials = ds.select_columns([id_col, vec_col]).map_batches(
+        partial, batch_format="pyarrow")
+    return bucketed_group_reduce(partials, ["query_id"], final)
+
+
 def topk_cosine(ds: "ray.data.Dataset", queries: np.ndarray,
                 query_ids: Optional[list] = None, k: int = 10,
                 vec_col: str = "embedding",
@@ -38,7 +62,7 @@ def topk_cosine(ds: "ray.data.Dataset", queries: np.ndarray,
     q_ref = ray.put(q / qn)
     qids = query_ids if query_ids is not None else list(range(len(q)))
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    def local_topk(batch: pa.Table) -> tuple:
         qm = ray.get(q_ref)                                    # (Q, d)
         vecs = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
         ids = np.asarray(batch[id_col].to_pylist())
@@ -54,22 +78,9 @@ def topk_cosine(ds: "ray.data.Dataset", queries: np.ndarray,
             out_q.extend([qids[qi]] * kk)
             out_id.extend(ids[order].tolist())
             out_sim.extend(row[order].tolist())
-        return pa.Table.from_arrays(
-            [pa.array(out_q), pa.array(out_id),
-             pa.array(out_sim, type=pa.float64())],
-            names=["query_id", id_col, "sim"])
+        return out_q, out_id, out_sim
 
-    partials = ds.select_columns([id_col, vec_col]).map_batches(
-        local_topk, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True],
-                          kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final_topk,
-                                                   batch_format="pandas")
+    return _topk(ds, local_topk, k, id_col, vec_col)
 
 
 def _kmeans_centroids(x: np.ndarray, nlist: int, iters: int = 5) -> np.ndarray:
@@ -124,7 +135,7 @@ def topk_cosine_ivf(ds: "ray.data.Dataset", queries: np.ndarray,
     qids = query_ids if query_ids is not None else list(range(len(q)))
     ref = ray.put((qm, probes, qids, cents))
 
-    def local(batch: pa.Table) -> pa.Table:
+    def local(batch: pa.Table) -> tuple:
         qmat, prb, ids_, c = ray.get(ref)
         vecs = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
         ids = np.asarray(batch[id_col].to_pylist())
@@ -145,22 +156,9 @@ def topk_cosine_ivf(ds: "ray.data.Dataset", queries: np.ndarray,
             out_q.extend([ids_[qi]] * kk)
             out_id.extend(sub_ids[order].tolist())
             out_sim.extend(sims[order].tolist())
-        return pa.Table.from_arrays(
-            [pa.array(out_q), pa.array(out_id),
-             pa.array(out_sim, pa.float64())],
-            names=["query_id", id_col, "sim"])
+        return out_q, out_id, out_sim
 
-    partials = ds.select_columns([id_col, vec_col]).map_batches(
-        local, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True],
-                          kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final_topk,
-                                                   batch_format="pandas")
+    return _topk(ds, local, k, id_col, vec_col)
 
 
 def topk_cosine_lsh(ds: "ray.data.Dataset", queries: np.ndarray,
@@ -185,7 +183,7 @@ def topk_cosine_lsh(ds: "ray.data.Dataset", queries: np.ndarray,
         by_bucket.setdefault(bk, []).append(qi)
     q_ref = ray.put((q, by_bucket, qids))
 
-    def local(batch: pa.Table) -> pa.Table:
+    def local(batch: pa.Table) -> tuple:
         qm, buckets, ids_ = ray.get(q_ref)
         vecs = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
         ids = np.asarray(batch[id_col].to_pylist())
@@ -208,22 +206,9 @@ def topk_cosine_lsh(ds: "ray.data.Dataset", queries: np.ndarray,
                 out_q.extend([ids_[qi]] * kk)
                 out_id.extend(sub_ids[part].tolist())
                 out_sim.extend(np.round(sims[part], 6).tolist())
-        return pa.Table.from_arrays(
-            [pa.array(out_q), pa.array(out_id),
-             pa.array(out_sim, pa.float64())],
-            names=["query_id", id_col, "sim"])
+        return out_q, out_id, out_sim
 
-    partials = ds.select_columns([id_col, vec_col]).map_batches(
-        local, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True],
-                          kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final_topk,
-                                                   batch_format="pandas")
+    return _topk(ds, local, k, id_col, vec_col)
 
 
 def recall_at_k(approx: "ray.data.Dataset", exact: "ray.data.Dataset",

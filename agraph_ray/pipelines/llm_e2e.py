@@ -226,11 +226,12 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
 
     # -- 5: LLM pair judge ----------------------------------------------
     t = time.time()
-    judged_dir = os.path.join(out_dir, "judged_pairs")
+    # no judge: the ANN pairs are the merge edges (also when resuming)
+    judged_dir = (os.path.join(out_dir, "judged_pairs")
+                  if judge_llm_factory is not None else pairs_dir)
     if is_committed(out_dir, _STAGE, "judge"):
         metrics["skipped_judge"] = 1
     elif judge_llm_factory is None:
-        judged_dir = pairs_dir                  # threshold-only merge
         commit_manifest(out_dir, _STAGE, "judge", {"skipped": "no judge"})
     else:
         pairs = rd.read_parquet(pairs_dir)

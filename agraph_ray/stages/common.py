@@ -4,10 +4,10 @@
 key cardinality. Ray Data's ``groupby(key).map_groups(fn)`` invokes the
 Python UDF once *per group* — at millions of tiny groups the interpreter
 overhead dominates (observed: 197k relation_id groups → 200s). Instead we
-hash-partition rows into a bounded number of coarse buckets
-(``groupby(bucket)``), and run ONE vectorized pandas reduction per bucket
-that handles all its keys at once. Same shuffle volume, ~1000x fewer UDF
-invocations, and per-task memory bounded by |data| / num_buckets.
+hash rows into coarse buckets, ``sort`` on the bucket (every key lands in
+one block) and run ONE vectorized pandas reduction per sorted block over
+all its keys. Same shuffle as ``map_groups``, but no per-group (or
+per-bucket) Python dispatch.
 """
 
 from __future__ import annotations
@@ -37,30 +37,32 @@ def bucketed_group_reduce(ds: "ray.data.Dataset", keys: List[str],
                           num_buckets: int = 64,
                           schema: Optional[pa.Schema] = None,
                           ) -> "ray.data.Dataset":
-    """Hash-partition by ``keys`` into ``num_buckets`` coarse buckets and
-    apply ``reduce_df`` (a vectorized whole-bucket pandas function that must
-    itself group by ``keys``) once per bucket.
+    """Hash ``keys`` into ``num_buckets`` buckets, sort on the bucket (all
+    rows of a key land in one block) and apply ``reduce_df``, a vectorized
+    pandas function, once per non-empty block. A call sees many keys, so
+    ``reduce_df``'s own group-by on ``keys`` is load-bearing.
 
-    ``num_buckets`` bounds per-task memory: pick ~ |dataset| / (256MB).
-    When ``schema`` is given, each bucket's result is emitted as an Arrow
+    ``num_buckets`` sets only the hash granularity the sort range-partitions
+    on; the sort keeps the block count (hence per-task memory) of its input.
+    When ``schema`` is given, each block's result is emitted as an Arrow
     table with that schema (exact block sizing, typed list columns).
     """
-    def per_bucket(g: pd.DataFrame):
-        out = reduce_df(g.drop(columns=[BUCKET_COL]))
+    def per_block(df: pd.DataFrame):
+        if len(df) == 0:
+            return
+        out = reduce_df(df.drop(columns=[BUCKET_COL]))
         if schema is not None:
-            if len(out) == 0:
-                # empty frames carry NaN-float dtypes that can't cast to
-                # list/typed columns — emit the typed empty table directly
-                return schema.empty_table()
-            return pa.Table.from_pandas(
-                out, schema=schema,
-                preserve_index=False).replace_schema_metadata(None)
-        return out
+            # empty frames carry NaN-float dtypes that can't cast to
+            # list/typed columns — emit the typed empty table directly
+            out = schema.empty_table() if len(out) == 0 else \
+                pa.Table.from_pandas(out, schema=schema, preserve_index=False
+                                     ).replace_schema_metadata(None)
+        yield out
 
     return (ds.map_batches(_add_bucket(keys, num_buckets),
                            batch_format="pyarrow")
-            .groupby(BUCKET_COL)
-            .map_groups(per_bucket, batch_format="pandas"))
+            .sort(BUCKET_COL)
+            .map_batches(per_block, batch_format="pandas", batch_size=None))
 
 
 def keyed_sum(ds: "ray.data.Dataset", keys: List[str],

@@ -203,7 +203,9 @@ def extract_mentions(docs: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
     serve — observed: a pool holding all but two CPUs for small docs left
     the mega-doc tasks 2 CPU slots and serialized the skew tail into the
     critical path.
-    Elastic tasks let Ray interleave both streams over every core.
+    Elastic tasks let Ray interleave both streams over every core, over
+    ``4 x cluster CPUs`` blocks: enough to even out skew, few enough that
+    per-task cost stays below the work.
     """
     import pyarrow.compute as pc
     cfg = cfg or KGConfig()
@@ -218,16 +220,13 @@ def extract_mentions(docs: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
         return _worker_stage(th, kw)(t)
 
     thresh = int(cfg.hot_doc_turns)
-    # Task-granularity fix (r3): documents arrive in as many blocks as the
-    # reassembly reduce had buckets (64) with ~10x row skew between them,
-    # and map tasks can't split blocks — measured at 554k turns / 32 CPUs
-    # the extraction operator ran 64 tasks (0.8 s min, 8.6 s max, 3.25 s
-    # mean) keeping only ~9.5 of 32 cores busy (207.9 s compute in 21.9 s
-    # wall). Re-splitting to ~4 blocks per core makes tasks fine-grained
-    # and evens the skew; the extra exchange moves only the (small)
-    # document table and rides the same execution.
+    # ~4 blocks per CPU, no floor: docs arrive in as many blocks as the
+    # reassembly sort made, row-skewed, and map tasks can't split blocks
+    # (554k turns / 32 CPUs: 64 skewed tasks kept ~9.5 cores busy). Each
+    # block is a task in both branches below, so more blocks only add
+    # dispatch (82 docs at 1 CPU: 2.5 s in 64 blocks, 0.9 s in 4).
     import ray as _ray
-    nblocks = max(64, 4 * int(_ray.cluster_resources().get("CPU", 8)))
+    nblocks = max(1, int(4 * _ray.cluster_resources().get("CPU", 8)))
     # size of the incoming docs, known free ONLY when the caller
     # materialized them (size_bytes() on a lazy dataset would trigger a
     # full extra execution — the resumable path passes lazy docs)

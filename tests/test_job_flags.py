@@ -116,13 +116,18 @@ def test_job_e2e_flag_wiring(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("address,starts_session", [
-    ("local", True), ("10.0.0.1:6379", False), ("", False)])
+    ("local", True), ("10.0.0.1:6379", False), ("", False), (None, True)])
 def test_job_session_flags_only_when_starting_session(
         monkeypatch, tmp_path, address, starts_session):
     """--object-store-memory / --spill-dir reach ray.init only when this
-    process starts the session (RAY_ADDRESS=local); Ray raises if they
-    are passed while connecting to an existing cluster."""
+    process starts the session; Ray raises if they are passed while
+    connecting to an existing cluster. RAY_ADDRESS=local always starts
+    one; unset or empty calls ray.init() without an address, which joins
+    the cluster `ray start` left on this host (the "" case) or starts a
+    local one (the unset case) — never "auto", which raises when no
+    cluster is running."""
     import ray
+    import ray._private.services as services
 
     import agraph_ray.job as job
 
@@ -137,12 +142,18 @@ def test_job_session_flags_only_when_starting_session(
 
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
     monkeypatch.setattr(ray, "init", fake_init)
-    monkeypatch.setenv("RAY_ADDRESS", address)
+    monkeypatch.setattr(
+        services, "find_bootstrap_address",
+        lambda temp_dir: None if starts_session else "10.0.0.1:6379")
+    if address is None:
+        monkeypatch.delenv("RAY_ADDRESS", raising=False)
+    else:
+        monkeypatch.setenv("RAY_ADDRESS", address)
     with pytest.raises(Stop):
         job.main(["--input", str(tmp_path), "--output",
                   str(tmp_path / "o"), "--object-store-memory",
                   str(1 << 30), "--spill-dir", str(tmp_path / "spill")])
-    assert seen["address"] == (address or "auto")
+    assert seen.get("address") == (address or None)
     session_kw = {"object_store_memory", "_system_config"}
     if starts_session:
         assert seen["object_store_memory"] == 1 << 30

@@ -128,6 +128,22 @@ def test_e2e_single_phase_rerun(e2e_run):
     assert _final_counts(out) == before
 
 
+def test_e2e_threshold_only_canonicalize_rerun(e2e_run):
+    """Without a judge the ANN pairs are the merge edges. A resumed run
+    whose judge phase is already committed must still merge them:
+    re-running only canonicalize reproduces the uninterrupted tables."""
+    base, files, _, _ = e2e_run
+    out = os.path.join(base, "out_threshold_only")
+    res = _run(files, out, judge_llm_factory=None)
+    assert res.metrics["entities_merged_by_ann_judge"] > 0
+    before = _final_counts(out)
+    os.remove(os.path.join(out, "manifests", "llm_e2e-canonicalize.json"))
+    res = _run(files, out, judge_llm_factory=None)
+    assert "skipped_canonicalize" not in res.metrics
+    assert res.metrics.get("skipped_judge") == 1
+    assert _final_counts(out) == before
+
+
 def test_e2e_partition_layout_invariance(e2e_run):
     """The final canonical tables are a pure function of the input —
     regrouping the same shards into different partition counts (4 →

@@ -366,3 +366,39 @@ def test_precombine_preserves_merge_and_bounds_blocks(ray_session):
                        round(r["confidence"], 6)) for r in out)
 
     assert fin(pre) == fin(parts)
+
+
+def test_bucketed_group_reduce_one_call_per_block(ray_session):
+    """reduce_df runs once per sorted block, not once per bucket: a
+    one-block input of 200 keys over 64 buckets makes at most
+    ``num_blocks`` calls, and every row reaches exactly one call."""
+    import ray.data as rd
+
+    from agraph_ray.stages.common import bucketed_group_reduce
+
+    ds = rd.from_pandas(pd.DataFrame({"k": [f"k{i}" for i in range(200)]}))
+    assert ds.num_blocks() == 1
+    out = bucketed_group_reduce(
+        ds, ["k"], lambda df: pd.DataFrame({"rows": [len(df)]}),
+        num_buckets=64).take_all()
+    assert len(out) <= ds.num_blocks()
+    assert sum(r["rows"] for r in out) == 200
+
+
+def test_bucketed_group_reduce_schema_types_empty_results(ray_session):
+    """With a ``schema``, a block whose reduce yields no rows is emitted
+    as that schema's typed empty table (an empty pandas frame would carry
+    NaN-float columns that can't cast to list types)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from agraph_ray.stages.common import bucketed_group_reduce
+
+    schema = pa.schema([pa.field("k", pa.string()),
+                        pa.field("ids", pa.list_(pa.int64()))])
+    ds = rd.from_pandas(pd.DataFrame({"k": ["a", "b", "c"]})).repartition(3)
+    out = bucketed_group_reduce(
+        ds, ["k"], lambda df: pd.DataFrame({"k": [], "ids": []}),
+        num_buckets=4, schema=schema).materialize()
+    assert out.count() == 0
+    assert out.schema().base_schema == schema
