@@ -13,15 +13,36 @@ the distributed replacement for the reference's O(n²) candidate scan
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.canonicalize import (_GRAM_MULT, _MERSENNE, _hash_tokens,
-                                   _perm_constants)
+_MERSENNE = (1 << 61) - 1
+_TOKEN_HASH_KEY = "agraph-ray-tok!!"          # 16 bytes, fixed -> deterministic
+_GRAM_MULT = np.uint64(0x9E3779B97F4A7C15)   # odd golden-ratio constant
+
+
+def _perm_constants(num_perm: int) -> np.ndarray:
+    """(num_perm, 2) deterministic odd multipliers + offsets."""
+    stream = b"".join(
+        hashlib.md5(f"agraph-ray-minhash-{i}".encode()).digest()
+        for i in range(num_perm))
+    arr = np.frombuffer(stream, dtype=np.uint64).reshape(num_perm, 2).copy()
+    arr[:, 0] |= 1  # odd multipliers
+    return arr
+
+
+def _hash_tokens(tokens) -> np.ndarray:
+    """Vectorized stable 64-bit hash of a token/shingle array (SipHash via
+    pandas.util.hash_array with a pinned key): one C call for the whole
+    array instead of one Python md5 per element. Determinism across
+    processes is pinned by tests/test_doc_dedup.py."""
+    return pd.util.hash_array(np.asarray(tokens, dtype=object),
+                              hash_key=_TOKEN_HASH_KEY, categorize=False)
+
 
 # ---------------------------------------------------------------------------
 # vectorized md5
@@ -371,6 +392,7 @@ class MinHashSigner:
     minhashed by multiply-shift permutations (fixed constants), banded for
     LSH. No per-shingle Python hashing anywhere: the round-1 profile showed
     one md5 call per shingle per document dominating the signer.
+    ``stages.canonicalize.MinHashBander`` reuses it with char shingles.
     """
 
     def __init__(self, num_perm: int = 64, bands: int = 16,
@@ -401,19 +423,26 @@ class MinHashSigner:
         a, b = self.perms[:, 0][:, None], self.perms[:, 1][:, None]
         return ((a * h[None, :] + b) % _MERSENNE).min(axis=1)
 
+    def batch_shingles(self, texts: List[Optional[str]]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """(all texts' :meth:`shingles` concatenated, per-text counts)."""
+        sets = [self.shingles(t or "") for t in texts]
+        lens = np.fromiter((len(s) for s in sets), dtype=np.int64,
+                           count=len(sets))
+        return (np.concatenate(sets) if sets
+                else np.empty(0, dtype=np.uint64)), lens
+
     def batch_signatures(self, texts: List[Optional[str]]) -> np.ndarray:
         """(n_docs, num_perm) uint64 — identical values to per-doc
         :meth:`signature`, computed with one ``minimum.reduceat`` pass per
         permutation over the batch's concatenated shingle vector instead of
         one (num_perm x n_shingles) matrix op per document. Memory stays
         O(total shingles in batch) regardless of num_perm."""
-        sets = [self.shingles(t or "") for t in texts]
-        n = len(sets)
+        h, lens = self.batch_shingles(texts)
+        n = len(lens)
         sig = np.empty((n, self.num_perm), dtype=np.uint64)
         if n == 0:
             return sig
-        lens = np.fromiter((len(s) for s in sets), dtype=np.int64, count=n)
-        h = np.concatenate(sets)          # every shingles() is non-empty
         starts = np.zeros(n, dtype=np.int64)
         np.cumsum(lens[:-1], out=starts[1:])
         with np.errstate(over="ignore"):
@@ -423,19 +452,25 @@ class MinHashSigner:
                                                 starts)
         return sig
 
+    def band_buckets(self, sig: np.ndarray) -> np.ndarray:
+        """(n, bands) uint64 LSH bucket per band: a fixed-constant
+        polynomial over the band's chunk of the signature."""
+        sig3 = sig.reshape(len(sig), self.bands, self.rows)
+        with np.errstate(over="ignore"):
+            buck = np.zeros(sig3.shape[:2], dtype=np.uint64)
+            for r in range(self.rows):
+                buck = buck * _GRAM_MULT + sig3[:, :, r]
+        return buck
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         """→ one (id, band, bucket) row per document per band. The bucket
         is a fixed-constant polynomial over the band's signature chunk —
         identical signatures collide identically (all the blocking needs),
         with zero per-document Python hashing (the md5-per-band version
         was 4M md5 calls for a 250k-doc corpus)."""
-        sig = self.batch_signatures(batch[self.text_col].to_pylist())
+        buck = self.band_buckets(
+            self.batch_signatures(batch[self.text_col].to_pylist()))
         n = len(batch)
-        sig3 = sig.reshape(n, self.bands, self.rows)
-        with np.errstate(over="ignore"):
-            buck = np.zeros((n, self.bands), dtype=np.uint64)
-            for r in range(self.rows):
-                buck = buck * _GRAM_MULT + sig3[:, :, r]
         ids = batch[self.id_col].combine_chunks().take(
             pa.array(np.repeat(np.arange(n, dtype=np.int64), self.bands)))
         return pa.Table.from_arrays(

@@ -111,16 +111,14 @@ def chunk_statistics(chunks: "ray.data.Dataset") -> Dict:
         else:
             df["n_e"] = 0
             df["n_r"] = 0
+        df["orphan"] = (df["n_e"] == 0) & (df["n_r"] == 0)
         g = df.groupby("chunk_type").agg(
             n=("len", "size"), total_len=("len", "sum"),
             sum_e=("n_e", "sum"), sum_r=("n_r", "sum"),
             with_e=("n_e", lambda s: int((s > 0).sum())),
             with_r=("n_r", lambda s: int((s > 0).sum())),
-            orphaned=("n_e", lambda s: 0),   # filled below (needs n_r too)
+            orphaned=("orphan", "sum"),
         ).reset_index()
-        orph = df.groupby("chunk_type").apply(
-            lambda s: int(((s["n_e"] == 0) & (s["n_r"] == 0)).sum()))
-        g["orphaned"] = orph.to_numpy()
         return pa.Table.from_pandas(g, preserve_index=False)
 
     agg = (chunks.map_batches(partial, batch_format="pyarrow")

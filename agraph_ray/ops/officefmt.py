@@ -234,9 +234,20 @@ def parse_xlsx(data, max_rows: int = 1000,
 # pdf (common case: FlateDecode / raw content streams, Tj/TJ operators)
 # ---------------------------------------------------------------------------
 
-_STREAM_RE = re.compile(rb"<<(.*?)>>\s*stream\r?\n", re.DOTALL)
+_STREAM_RE = re.compile(rb">>\s*stream\r?\n")
 _ESCAPES = {b"n": "\n", b"r": "\r", b"t": "\t", b"b": "\b", b"f": "\f",
             b"(": "(", b")": ")", b"\\": "\\"}
+
+
+def _pdf_stream_dict(buf: bytes, close: int) -> bytes:
+    """The body of the stream dict whose closing ``>>`` is at ``close``,
+    back to its balanced ``<<``: nested dicts stay in, an earlier object's
+    dict stays out."""
+    depth, i = 1, close
+    while depth and i > 0:
+        i = max(buf.rfind(b"<<", 0, i), buf.rfind(b">>", 0, i))
+        depth += 1 if buf.startswith(b">>", i) else -1
+    return buf[i + 2:close]
 
 
 def _pdf_literal(buf: bytes, i: int) -> tuple:
@@ -352,7 +363,7 @@ def parse_pdf(data) -> str:
             "encrypted PDF: decryption not supported without pypdf")
     pages: List[str] = []
     for m in _STREAM_RE.finditer(raw):
-        d = m.group(1)
+        d = _pdf_stream_dict(raw, m.start())
         start = m.end()
         end = raw.find(b"endstream", start)
         if end < 0:

@@ -10,7 +10,7 @@ merge is an element-wise max, so partial sketches combine associatively
 
 The estimator is the standard HLL with the small-range linear-counting
 correction (Flajolet et al. 2007). Deterministic: the value hash is the
-repo's pinned SipHash (stages/canonicalize.py:_hash_tokens), so the same
+repo's pinned SipHash (ops/dedup.py:_hash_tokens), so the same
 input yields the same estimate at any parallelism.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.canonicalize import _hash_tokens
+from .dedup import _hash_tokens
 from ..stages.common import bucketed_group_reduce
 
 __all__ = ["hll_count_distinct", "approx_quantiles",

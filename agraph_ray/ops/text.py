@@ -821,7 +821,7 @@ def duplicate_ngram_stats(ds: "ray.data.Dataset", n: int = 8,
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from ..stages.canonicalize import _GRAM_MULT, _hash_tokens
+    from .dedup import _GRAM_MULT, _hash_tokens
     from ..stages.common import bucketed_group_reduce
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -908,7 +908,7 @@ def remove_duplicate_spans(ds: "ray.data.Dataset", n: int = 8,
     import pandas as pd
     import ray
 
-    from ..stages.canonicalize import _GRAM_MULT, _hash_tokens
+    from .dedup import _GRAM_MULT, _hash_tokens
     from ..stages.common import arrow_col_type, bucketed_group_reduce
 
     def windows(batch: pa.Table) -> pa.Table:

@@ -3,134 +3,125 @@
 Replaces the reference's O(n²) near-duplicate prefilter over all entity
 pairs (agraph/builders/llm_builders.py:413-475) with minhash-LSH blocking:
 
-  nodes → per-name minhash signature over char-k shingles → (band, bucket)
-  rows → groupby((band, bucket, entity_type)) → candidate pairs inside each
-  block only (capped) → deterministic name-similarity scoring → match edges
-  → distributed connected components (state/unionfind.py) → canonical map →
-  broadcast rewrite of nodes and edges.
+  nodes → batch minhash signatures over the names' char-k shingles
+  (ops/dedup.py MinHashSigner) → (band, bucket, entity_type) and alias
+  blocks → candidate pairs inside each block only (capped) → name
+  similarity scoring → union-find → canonical map → one vectorized
+  merge of all merge groups → endpoint rewrite of the edges.
 
 Scoring mirrors the reference's candidate rule (same entity_type AND name
 similarity; exact = 1.0, containment = 0.8, else difflib ratio —
 agraph/builders/llm_builders.py:437-469) with an accept threshold in place
 of the LLM pairwise judge (which plugs into the same pair table as an actor
-pool when available).
+pool when available). The canonical map does not score a candidate whose
+endpoints are already linked.
 
 Determinism: minhash permutations use fixed 64-bit multiply-shift constants
-derived from an md5 stream seeded with "agraph-ray-minhash" — identical
-across processes and cluster sizes.
+(ops/dedup.py:_perm_constants) — identical across processes and cluster
+sizes.
 """
 
 from __future__ import annotations
 
 import difflib
-import hashlib
-from typing import Dict, List, Optional
+import functools
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..config import KGConfig
+# the query oracles import _GRAM_MULT, _MERSENNE, _TOKEN_HASH_KEY from here
+from ..ops.dedup import (_GRAM_MULT, _MERSENNE,  # noqa: F401
+                         _TOKEN_HASH_KEY, MinHashSigner, _hash_tokens)
 from ..state.unionfind import connected_components, components_to_canonical_map
 
-_MERSENNE = (1 << 61) - 1
 
-
-def _perm_constants(num_perm: int) -> np.ndarray:
-    """(num_perm, 2) deterministic odd multipliers + offsets."""
-    stream = b"".join(
-        hashlib.md5(f"agraph-ray-minhash-{i}".encode()).digest()
-        for i in range(num_perm))
-    arr = np.frombuffer(stream, dtype=np.uint64).reshape(num_perm, 2).copy()
-    arr[:, 0] |= 1  # odd multipliers
-    return arr
-
-
-_TOKEN_HASH_KEY = "agraph-ray-tok!!"          # 16 bytes, fixed -> deterministic
-_GRAM_MULT = np.uint64(0x9E3779B97F4A7C15)   # odd golden-ratio constant
-
-
-def _hash_tokens(tokens) -> np.ndarray:
-    """Vectorized stable 64-bit hash of a token/shingle array (SipHash via
-    pandas.util.hash_array with a pinned key): one C call for the whole
-    array instead of one Python md5 per element. Determinism across
-    processes is pinned by tests/test_doc_dedup.py."""
-    import pandas as _pd
-    return _pd.util.hash_array(np.asarray(tokens, dtype=object),
-                               hash_key=_TOKEN_HASH_KEY, categorize=False)
+def _char_shingles(name: str, k: int) -> set:
+    """The char-k shingles of a name padded as ``^name$`` (and with ``_``
+    up to k chars)."""
+    s = f"^{name}$"
+    if len(s) < k:
+        s = s.ljust(k, "_")
+    return {s[i:i + k] for i in range(len(s) - k + 1)}
 
 
 def _shingle_hashes(name: str, k: int) -> np.ndarray:
     """Stable 64-bit hashes of the char-k shingles of a (padded) name."""
-    s = f"^{name}$"
-    if len(s) < k:
-        s = s.ljust(k, "_")
-    return _hash_tokens(sorted({s[i:i + k] for i in range(len(s) - k + 1)}))
+    return _hash_tokens(sorted(_char_shingles(name, k)))
 
 
 BAND_COLS = ["entity_id", "name", "entity_type", "aliases", "properties"]
 
 
-class MinHashBander:
+class MinHashBander(MinHashSigner):
     """map_batches callable: nodes batch → (block_key, entity_id, name,
     entity_type, aliases, properties) band rows. Two block families:
 
-    - minhash bands of the name's char shingles (near-identical names);
-    - alias blocks ``A:<md5(value)>:<type>`` — one per element of
+    - ``<band>:<bucket>:<type>``: minhash bands of the name's char
+      shingles (near-identical names), signed for the whole batch;
+    - alias blocks ``A:<hash(value)>:<type>`` — one per element of
       {name} ∪ aliases, lowercased — so entities sharing an exact
       name/alias string collide even when their display names share no
       shingle (the reference's alias-overlap candidate signal,
       agraph/builders/llm_builders.py:471-475).
 
-    Permutation constants build once per actor."""
+    A null ``entity_type`` blocks as ``"None"``."""
 
     def __init__(self, cfg: Optional[KGConfig] = None):
         cfg = cfg or KGConfig()
+        super().__init__(cfg.num_perm, cfg.lsh_bands)
         self.k = cfg.shingle_k
-        self.num_perm = cfg.num_perm
-        self.bands = cfg.lsh_bands
-        self.rows = cfg.num_perm // cfg.lsh_bands
-        self.perms = _perm_constants(cfg.num_perm)
 
-    def signature(self, name: str) -> np.ndarray:
-        h = _shingle_hashes(name, self.k)                      # (s,)
-        a, b = self.perms[:, 0][:, None], self.perms[:, 1][:, None]
-        vals = (a * h[None, :] + b) % _MERSENNE                # (p, s)
-        return vals.min(axis=1)                                # (p,)
+    def shingles(self, name: str) -> np.ndarray:
+        return _shingle_hashes(name, self.k)
+
+    def batch_shingles(self, names: List[Optional[str]]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole batch's shingles hashed in one call."""
+        grams = [_char_shingles(n or "", self.k) for n in names]
+        lens = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
+        return _hash_tokens([g for gs in grams for g in gs]), lens
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        has_alias = "aliases" in batch.schema.names
-        has_props = "properties" in batch.schema.names
-        aliases_in = (batch["aliases"].to_pylist() if has_alias
-                      else [None] * len(batch))
-        props_in = (batch["properties"].to_pylist() if has_props
-                    else [None] * len(batch))
-        keys, ids, names, types, aliases, props = [], [], [], [], [], []
-
-        def emit(key, eid, name, etype, al, pr):
-            keys.append(key); ids.append(eid); names.append(name)
-            types.append(etype); aliases.append(al); props.append(pr)
-
-        for eid, name, etype, al, pr in zip(batch["entity_id"].to_pylist(),
-                                            batch["name"].to_pylist(),
-                                            batch["entity_type"].to_pylist(),
-                                            aliases_in, props_in):
-            al = list(al) if al is not None else []
-            sig = self.signature(name or "")
-            for band in range(self.bands):
-                chunk = sig[band * self.rows:(band + 1) * self.rows]
-                digest = hashlib.md5(chunk.tobytes()).hexdigest()[:12]
-                emit(f"{band}:{digest}:{etype}", eid, name, etype, al, pr)
-            for value in {(name or "").lower()} | {a.lower() for a in al}:
-                if value:
-                    digest = hashlib.md5(value.encode()).hexdigest()[:12]
-                    emit(f"A:{digest}:{etype}", eid, name, etype, al, pr)
+        col = {c: batch[c].combine_chunks() for c in BAND_COLS
+               if c in batch.schema.names}
+        n = len(batch)
+        names = col["name"].to_pylist()
+        aliases = (col["aliases"].to_pylist() if "aliases" in col
+                   else [None] * n)
+        al_rows, al_values = [], []
+        for i, (name, al) in enumerate(zip(names, aliases)):
+            for v in dict.fromkeys([(name or "").lower(),
+                                    *(a.lower() for a in al or ())]):
+                if v:
+                    al_rows.append(i)
+                    al_values.append(v)
+        mh_rows = np.repeat(np.arange(n, dtype=np.int64), self.bands)
+        etype = pc.fill_null(col["entity_type"].cast(pa.string()), "None")
+        mh_keys = pc.binary_join_element_wise(
+            pa.array(np.tile(np.arange(self.bands), n)).cast(pa.string()),
+            pa.array(self.band_buckets(
+                self.batch_signatures(names)).reshape(-1)).cast(pa.string()),
+            etype.take(mh_rows), ":")
+        al_keys = pc.binary_join_element_wise(
+            "A", pa.array(_hash_tokens(al_values), pa.uint64())
+            .cast(pa.string()), etype.take(pa.array(al_rows, pa.int64())),
+            ":")
+        idx = pa.array(np.concatenate(
+            [mh_rows, np.asarray(al_rows, dtype=np.int64)]))
+        aliases_col = pa.array([a or [] for a in aliases],
+                               pa.list_(pa.string()))
+        props_col = (col["properties"].cast(pa.string())
+                     if "properties" in col else pa.nulls(n, pa.string()))
         return pa.Table.from_arrays(
-            [pa.array(keys, pa.string()), pa.array(ids, pa.string()),
-             pa.array(names, pa.string()), pa.array(types, pa.string()),
-             pa.array(aliases, pa.list_(pa.string())),
-             pa.array(props, pa.string())],
+            [pa.concat_arrays([mh_keys, al_keys])]
+            + [col[c].cast(pa.string()).take(idx)
+               for c in ("entity_id", "name", "entity_type")]
+            + [aliases_col.take(idx), props_col.take(idx)],
             names=["block_key"] + BAND_COLS)
 
 
@@ -186,116 +177,89 @@ def weighted_similarity(name_a: str, name_b: str, type_a: str, type_b: str,
     return 0.4 * name_s + 0.2 * type_s + 0.2 * alias_s + 0.2 * prop_s
 
 
-def _pair_factory(threshold: float, cap: int,
-                  weighted_threshold: float = 0.8):
-    def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        """Whole-bucket reduction: iterate the (small) LSH/alias blocks
-        inside this bucket, generating capped candidate pairs per block.
+def _walk_blocks(df: pd.DataFrame, cfg: KGConfig,
+                 linked: Optional[Callable[[str, str], bool]] = None
+                 ) -> Iterator[Tuple[str, str, float]]:
+    """Yield the accepted candidate pairs ``(src, dst, sim)`` of the blocks
+    in MinHashBander rows ``df``, at most ``cfg.max_block_pairs``
+    candidates per block. A pair can come out of several blocks.
 
-        Accept rules (all same-type by block-key construction):
-        - minhash blocks: name similarity >= ``threshold``
-          (llm_builders.py:437-469 scoring); pairs below it but carrying
-          alias/property evidence get a second chance at the weighted
-          score >= ``weighted_threshold`` (entity_merger.py:193-293) —
-          pure-name pairs never reach the weighted path, so the regex KG
-          (no aliases/properties) is unaffected;
-        - alias blocks (``A:`` keys): members share an exact name/alias
-          string — the reference's alias-overlap candidate signal
-          (llm_builders.py:471-475); accepted outright with the weighted
-          score recorded as the pair's sim.
-        """
-        import json as _json
-        src, dst, sims = [], [], []
-        has_attrs = "aliases" in df.columns
-        if df.empty:
-            return pd.DataFrame({"src": pd.Series([], dtype="object"),
-                                 "dst": pd.Series([], dtype="object"),
-                                 "sim": pd.Series([], dtype="float64")})
-        # ONE global dedup + sort instead of a pandas frame per block
-        # (per-block drop_duplicates/sort_values dominated the pass at
-        # ~5k blocks — the per-key pathology, on the driver), then numpy
-        # slices per block. Per-block member sets/order are unchanged:
-        # dedup on (block_key, entity_id) keeps the same first
-        # occurrence, and members iterate in entity_id order as before.
-        df = (df.drop_duplicates(["block_key", "entity_id"])
-              .sort_values(["block_key", "entity_id"], kind="mergesort"))
-        bk_arr = df["block_key"].to_numpy()
-        ids_arr = df["entity_id"].to_numpy()
-        names_arr = df["name"].to_numpy()
-        if has_attrs:
-            types_arr = df["entity_type"].to_numpy()
-            alias_arr = [list(a) if a is not None else []
-                         for a in df["aliases"]]
-            props_arr = [(_json.loads(p) if p else {})
-                         for p in df["properties"]]
-        starts = np.flatnonzero(
-            np.r_[True, bk_arr[1:] != bk_arr[:-1]]) \
-            if len(bk_arr) else np.empty(0, np.int64)
-        ends = np.r_[starts[1:], len(bk_arr)] if len(starts) \
-            else np.empty(0, np.int64)
-        # The same entity pair collides in MANY minhash bands (up to
-        # lsh_bands times) and possibly alias blocks too — score each
-        # distinct pair once per kind, not once per collision
-        # (SequenceMatcher dominates an otherwise-instant pass).
-        _nc: dict = {}
-        _wc: dict = {}
+    Accept rules (all same-type by block-key construction):
+    - minhash blocks: name similarity >= ``cfg.link_threshold``
+      (llm_builders.py:437-469 scoring); pairs below it but carrying
+      alias/property evidence get a second chance at the weighted score
+      >= ``cfg.weighted_threshold`` (entity_merger.py:193-293) — pure-name
+      pairs never reach the weighted path, so the regex KG (no
+      aliases/properties) is unaffected;
+    - alias blocks (``A:`` keys): members share an exact name/alias
+      string — the reference's alias-overlap candidate signal
+      (llm_builders.py:471-475); accepted outright with the weighted
+      score recorded as the pair's sim.
 
-        def _name_sim(x: str, y: str) -> float:
-            v = _nc.get((x, y))
-            if v is None:
-                v = _nc[(x, y)] = name_similarity(x, y)
-            return v
+    A candidate for which ``linked(src, dst)`` is true is skipped
+    unscored; it still spends the block's budget.
+    """
+    import json as _json
+    if df.empty:
+        return
+    # one global dedup + sort, then numpy slices per block (a pandas frame
+    # per block dominated the pass); members iterate in entity_id order
+    df = (df.drop_duplicates(["block_key", "entity_id"])
+          .sort_values(["block_key", "entity_id"], kind="mergesort"))
+    bk_arr = df["block_key"].to_numpy()
+    ids_arr = df["entity_id"].to_numpy()
+    names_arr = df["name"].to_numpy()
+    types_arr = df["entity_type"].to_numpy()
+    alias_arr = [list(a) for a in df["aliases"]]
+    props_arr = [(_json.loads(p) if p else {}) for p in df["properties"]]
+    starts = np.flatnonzero(np.r_[True, bk_arr[1:] != bk_arr[:-1]])
+    ends = np.r_[starts[1:], len(bk_arr)]
+    # a pair collides in up to lsh_bands minhash blocks and in alias
+    # blocks too: score each distinct pair once per kind
+    name_sim = functools.lru_cache(maxsize=None)(name_similarity)
+    _wc: dict = {}
 
-        def _w_sim(ki, kj, *args) -> float:
-            v = _wc.get((ki, kj))
-            if v is None:
-                v = _wc[(ki, kj)] = weighted_similarity(*args)
-            return v
-        for s0, e0 in zip(starts, ends):
-            n = int(e0 - s0)
-            if n < 2:
-                continue
-            ids = ids_arr[s0:e0].tolist()
-            names = names_arr[s0:e0].tolist()
-            is_alias_block = bk_arr[s0].startswith("A:")
-            if has_attrs:
-                types = types_arr[s0:e0].tolist()
-                aliases = alias_arr[s0:e0]
-                props = props_arr[s0:e0]
-            else:
-                types = [None] * n
-                aliases = [[] for _ in ids]
-                props = [{} for _ in ids]
-            budget = cap
-            for i in range(n):
-                if budget <= 0:
+    def w_sim(i: int, j: int) -> float:
+        v = _wc.get((ids[i], ids[j]))
+        if v is None:
+            v = _wc[(ids[i], ids[j])] = weighted_similarity(
+                names[i], names[j], types[i], types[j],
+                aliases[i], aliases[j], props[i], props[j])
+        return v
+
+    for s0, e0 in zip(starts, ends):
+        n = int(e0 - s0)
+        if n < 2:
+            continue
+        ids = ids_arr[s0:e0].tolist()
+        names = names_arr[s0:e0].tolist()
+        types = types_arr[s0:e0].tolist()
+        aliases, props = alias_arr[s0:e0], props_arr[s0:e0]
+        is_alias_block = bk_arr[s0].startswith("A:")
+        budget = cfg.max_block_pairs
+        for i in range(n):
+            if budget <= 0:
+                break
+            for j in range(i + 1, n):
+                budget -= 1
+                if budget < 0:
                     break
-                for j in range(i + 1, n):
-                    budget -= 1
-                    if budget < 0:
-                        break
-                    if is_alias_block:
-                        src.append(ids[i]); dst.append(ids[j])
-                        sims.append(_w_sim(
-                            ids[i], ids[j],
-                            names[i], names[j], types[i], types[j],
-                            aliases[i], aliases[j], props[i], props[j]))
-                        continue
-                    s = _name_sim(names[i], names[j])
-                    if s >= threshold:
-                        src.append(ids[i]); dst.append(ids[j]); sims.append(s)
-                    elif aliases[i] or aliases[j] or props[i] or props[j]:
-                        w = _w_sim(
-                            ids[i], ids[j],
-                            names[i], names[j], types[i], types[j],
-                            aliases[i], aliases[j], props[i], props[j])
-                        if w >= weighted_threshold:
-                            src.append(ids[i]); dst.append(ids[j])
-                            sims.append(w)
-        return pd.DataFrame({"src": pd.Series(src, dtype="object"),
-                             "dst": pd.Series(dst, dtype="object"),
-                             "sim": pd.Series(sims, dtype="float64")})
-    return pairs_in_bucket
+                if linked is not None and linked(ids[i], ids[j]):
+                    continue
+                if is_alias_block:
+                    yield ids[i], ids[j], w_sim(i, j)
+                    continue
+                s = name_sim(names[i], names[j])
+                if s >= cfg.link_threshold:
+                    yield ids[i], ids[j], s
+                elif aliases[i] or aliases[j] or props[i] or props[j]:
+                    w = w_sim(i, j)
+                    if w >= cfg.weighted_threshold:
+                        yield ids[i], ids[j], w
+
+
+_PAIR_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
+                          ("sim", pa.float64())])
 
 
 def _collect_df(ds: "ray.data.Dataset") -> pd.DataFrame:
@@ -307,35 +271,29 @@ def _collect_df(ds: "ray.data.Dataset") -> pd.DataFrame:
     return pa.concat_tables(tbls, promote_options="default").to_pandas()
 
 
-def _band_cols(nodes: "ray.data.Dataset") -> List[str]:
-    """Bander input columns: id/name/type always; aliases/properties when
-    the node table carries them (older tables may not)."""
-    schema = nodes.schema()
-    have = set(schema.names) if schema is not None else set()
-    base = ["entity_id", "name", "entity_type"]
-    if not have:          # zero-row table with no schema: select nothing new
-        return base
-    return base + [c for c in ("aliases", "properties") if c in have]
-
-
 def link_entities(nodes: "ray.data.Dataset",
                   cfg: Optional[KGConfig] = None,
                   num_buckets: int = 64) -> "ray.data.Dataset":
-    """nodes → match edges (src, dst, sim) between near-duplicate entities."""
-    from .common import bucketed_group_reduce, distinct_on
+    """nodes → match edges (src, dst, sim) between near-duplicate entities,
+    one row per pair."""
+    from .common import bucketed_group_reduce
     cfg = cfg or KGConfig()
     # stateless tasks: the bander's only state (perm constants) is trivially
     # cheap, and tasks can't starve sibling operators the way a full-size
     # actor pool can
-    bands = nodes.select_columns(_band_cols(nodes)).map_batches(
-        MinHashBander(cfg), batch_format="pyarrow")
+    bands = nodes.map_batches(MinHashBander(cfg), batch_format="pyarrow")
     pairs = bucketed_group_reduce(
-        bands, ["block_key"], _pair_factory(cfg.link_threshold,
-                                            cfg.max_block_pairs,
-                                            cfg.weighted_threshold),
-        num_buckets)
-    # same pair can surface from several bands → dedup on (src, dst)
-    return distinct_on(pairs, ["src", "dst"], num_buckets)
+        bands, ["block_key"],
+        lambda df: pd.DataFrame(list(_walk_blocks(df, cfg)),
+                                columns=_PAIR_SCHEMA.names),
+        num_buckets, schema=_PAIR_SCHEMA)
+    # the same pair can surface from several blocks, with a lower sim from
+    # a minhash block than from an alias block: keep its best sim
+    return bucketed_group_reduce(
+        pairs, ["src", "dst"],
+        lambda df: df.groupby(["src", "dst"], as_index=False,
+                              sort=False)["sim"].max(),
+        num_buckets, schema=_PAIR_SCHEMA)
 
 
 def find_similar_entities(nodes: "ray.data.Dataset",
@@ -366,13 +324,13 @@ def compute_canonical_map(nodes: "ray.data.Dataset",
                           driver_threshold: int = 200_000) -> Dict[str, str]:
     """nodes → {entity_id: canonical_id} for matched near-duplicates.
 
-    Size-adaptive like connected_components: minhash signatures always run
-    distributed (map_batches — the expensive part), but when the node table
-    is dictionary-sized (≤ ``driver_threshold``; the canonical-entity table
-    is vocabulary, not corpus), the band rows are collected and pair
-    generation + union-find run on the driver — the same blocking, ordering,
-    caps and scoring as the distributed path, without its two shuffle
-    rounds. Above the threshold the shuffle path takes over.
+    Size-adaptive like connected_components: when the node table is
+    dictionary-sized (≤ ``driver_threshold``; the canonical-entity table
+    is vocabulary, not corpus), the nodes are collected and
+    banding, pair scoring and union-find run on the driver — the same
+    blocking, ordering, caps and scoring as the distributed path, without
+    its two shuffle rounds. Above the threshold the shuffle path
+    (link_entities → connected_components) takes over.
     """
     cfg = cfg or KGConfig()
     if nodes.count() > driver_threshold:
@@ -383,22 +341,25 @@ def compute_canonical_map(nodes: "ray.data.Dataset",
                                       max_iters=cfg.max_label_prop_iters)
         return components_to_canonical_map(labels)
 
-    bands = nodes.select_columns(_band_cols(nodes)).map_batches(
-        MinHashBander(cfg), batch_format="pyarrow")
-    df = _collect_df(bands)
-    return _map_from_band_rows(df, cfg)
+    return _canonical_map_from_df(_collect_df(nodes), cfg)
 
 
-def _map_from_band_rows(df: pd.DataFrame,
-                        cfg: KGConfig) -> Dict[str, str]:
-    """Band rows → candidate pairs → union-find → canonical map (the
-    shared driver tail of compute_canonical_map and the single-collect
-    canonicalize fast path)."""
-    if df.empty:
+def _canonical_map_from_df(ndf: pd.DataFrame,
+                           cfg: KGConfig) -> Dict[str, str]:
+    """compute_canonical_map over an already-collected node frame: the
+    bander runs in-process on one Arrow table (vocabulary-sized input by
+    contract), then union-find over the block walk.
+
+    Each accepted pair is unioned as the walk yields it, and the walk
+    skips the scoring of a candidate whose endpoints already share a
+    root: that pair cannot change the components, and the root is the
+    component's minimum id whatever the union order."""
+    if ndf.empty:
         return {}
-    pairs = _pair_factory(cfg.link_threshold, cfg.max_block_pairs,
-                          cfg.weighted_threshold)(df)
-
+    cols = ["entity_id", "name", "entity_type"] + [
+        c for c in ("aliases", "properties") if c in ndf.columns]
+    bands = MinHashBander(cfg)(
+        pa.Table.from_pandas(ndf[cols], preserve_index=False)).to_pandas()
     parent: Dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -409,25 +370,11 @@ def _map_from_band_rows(df: pd.DataFrame,
             parent[x], x = root, parent[x]
         return root
 
-    for s, d in zip(pairs["src"], pairs["dst"]):
+    for s, d, _ in _walk_blocks(bands, cfg,
+                                linked=lambda a, b: find(a) == find(b)):
         rs, rd_ = find(s), find(d)
-        if rs != rd_:
-            parent[max(rs, rd_)] = min(rs, rd_)
-    return {n: find(n) for n in parent if find(n) != n}
-
-
-def _canonical_map_from_df(ndf: pd.DataFrame,
-                           cfg: KGConfig) -> Dict[str, str]:
-    """compute_canonical_map over an already-collected node frame — the
-    bander runs in-process on one Arrow table (vocabulary-sized input by
-    contract), so no cluster execution at all."""
-    if ndf.empty:
-        return {}
-    base = ["entity_id", "name", "entity_type"]
-    cols = base + [c for c in ("aliases", "properties")
-                   if c in ndf.columns]
-    t = pa.Table.from_pandas(ndf[cols], preserve_index=False)
-    return _map_from_band_rows(MinHashBander(cfg)(t).to_pandas(), cfg)
+        parent[max(rs, rd_)] = min(rs, rd_)
+    return {n: r for n in parent if (r := find(n)) != n}
 
 
 def _fill_schema_cols(df: pd.DataFrame, schema: pa.Schema) -> pd.DataFrame:
@@ -439,28 +386,41 @@ def _fill_schema_cols(df: pd.DataFrame, schema: pa.Schema) -> pd.DataFrame:
     return df
 
 
-def _merge_group_row(g: pd.DataFrame) -> pd.Series:
-    """Collapse one canonical merge group to its representative row:
-    max-confidence witness keeps its fields, other names become aliases,
-    properties dict-merge, mention/conv counts sum."""
-    g = g.sort_values(["confidence", "entity_id"],
-                      ascending=[False, True], kind="mergesort")
-    rep = g.iloc[0].copy()
-    rep["entity_id"] = g["canonical_id"].iloc[0]
-    others = sorted(set(g["name"]) - {rep["name"]})
-    rep["aliases"] = sorted(
-        {a for lst in g["aliases"] for a in lst} | set(others))
-    if "properties" in g.columns:
+def _merge_groups(hit: pd.DataFrame) -> pd.DataFrame:
+    """Collapse every canonical merge group of ``hit`` (node rows with a
+    ``canonical_id`` column) to its representative row, in one pass: the
+    max-confidence member (ties: lowest entity_id) keeps its fields under
+    the canonical id, the sorted union of every alias and the other
+    members' names becomes its aliases, properties dict-merge and
+    mention/conv counts sum. Groups come out in first-appearance order of
+    their canonical id."""
+    s = hit.sort_values(["canonical_id", "confidence", "entity_id"],
+                        ascending=[True, False, True], kind="mergesort")
+    rep = s.drop_duplicates("canonical_id").set_index("canonical_id",
+                                                      drop=False)
+    names = s[["canonical_id", "name"]].rename(columns={"name": "alias"})
+    names = names[names["alias"].to_numpy()
+                  != rep["name"].reindex(names["canonical_id"]).to_numpy()]
+    aliases = (s[["canonical_id", "aliases"]].explode("aliases")
+               .rename(columns={"aliases": "alias"}))
+    union = (pd.concat([names, aliases]).dropna().drop_duplicates()
+             .sort_values(["canonical_id", "alias"], kind="mergesort")
+             .groupby("canonical_id", sort=False)["alias"].agg(list))
+    rep["aliases"] = [union.get(k, []) for k in rep.index]
+    if "properties" in s.columns:
         from .dedup import merge_properties
-        gg = g.assign(__k="x")
-        merged = merge_properties(gg, "__k")
-        rep["properties"] = merged.get("x")
-    rep["n_mentions"] = int(g["n_mentions"].sum())
-    rep["n_convs"] = int(g["n_convs"].sum())
-    return rep.drop(labels=["canonical_id"])
+        props = merge_properties(s, "canonical_id")
+        rep["properties"] = [props.get(k) for k in rep.index]
+    sums = s.groupby("canonical_id", sort=False)[["n_mentions",
+                                                  "n_convs"]].sum()
+    rep["n_mentions"] = sums["n_mentions"]
+    rep["n_convs"] = sums["n_convs"]
+    rep["entity_id"] = rep["canonical_id"]
+    return (rep.loc[hit["canonical_id"].unique()]
+            .drop(columns=["canonical_id"]).reset_index(drop=True))
 
 
-def _canonicalize_driver(nodes, edges, cmap, merge_group):
+def _canonicalize_driver(nodes, edges, cmap):
     """Whole-graph driver rewrite for dictionary-sized graphs: node merge,
     edge endpoint rewrite, self-loop drop, and signature re-dedup in one
     pandas pass — zero cluster executions. Returns (pa.Table, pa.Table)."""
@@ -481,9 +441,7 @@ def _canonicalize_driver(nodes, edges, cmap, merge_group):
     hit = ndf[mask].copy()
     if len(hit):
         hit["canonical_id"] = hit["entity_id"].map(lambda i: cmap.get(i, i))
-        merged = (hit.groupby("canonical_id", sort=False)
-                  .apply(merge_group).reset_index(drop=True))
-        ndf = pd.concat([keep, merged], ignore_index=True)
+        ndf = pd.concat([keep, _merge_groups(hit)], ignore_index=True)
     else:
         ndf = keep
     nodes_t = pa.Table.from_pandas(ndf, schema=NODES_SCHEMA,
@@ -493,18 +451,24 @@ def _canonicalize_driver(nodes, edges, cmap, merge_group):
     edf = _fill_schema_cols(_as_df(edges), EDGES_SCHEMA)
     edf["head_id"] = edf["head_id"].map(lambda i: cmap.get(i, i))
     edf["tail_id"] = edf["tail_id"].map(lambda i: cmap.get(i, i))
-    edf = edf[edf["head_id"] != edf["tail_id"]]
-    sig = (edf["head_id"] + "\x00" + edf["relation_type"]
-           + "\x00" + edf["tail_id"])
-    s = edf.assign(__sig=sig).sort_values(
+    edges_t = pa.Table.from_pandas(
+        _resig_dedup(edf[edf["head_id"] != edf["tail_id"]]),
+        schema=EDGES_SCHEMA, preserve_index=False
+    ).replace_schema_metadata(None)
+    return nodes_t, edges_t
+
+
+def _resig_dedup(edf: pd.DataFrame) -> pd.DataFrame:
+    """Rewritten endpoints can make two edges share a (head, type, tail)
+    signature — keep the max-confidence witness (utils.py:431-452), with
+    the signature's summed mentions."""
+    s = edf.assign(__sig=edf["head_id"] + "\x00" + edf["relation_type"]
+                   + "\x00" + edf["tail_id"]).sort_values(
         ["confidence", "relation_id"], ascending=[False, True],
         kind="mergesort")
     top = s.drop_duplicates("__sig", keep="first").set_index("__sig")
     top["n_mentions"] = s.groupby("__sig", sort=False)["n_mentions"].sum()
-    edges_t = pa.Table.from_pandas(
-        top.reset_index(drop=True), schema=EDGES_SCHEMA,
-        preserve_index=False).replace_schema_metadata(None)
-    return nodes_t, edges_t
+    return top.reset_index(drop=True)
 
 
 def canonicalize(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
@@ -541,8 +505,7 @@ def canonicalize(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
         cmap = _canonical_map_from_df(ndf, cfg)
         if not cmap:
             return nodes, edges, {}
-        nodes_t, edges_t = _canonicalize_driver(ndf, edf, cmap,
-                                                _merge_group_row)
+        nodes_t, edges_t = _canonicalize_driver(ndf, edf, cmap)
         return nodes_t, edges_t, cmap
 
     cmap = compute_canonical_map(nodes, cfg)
@@ -568,13 +531,12 @@ def apply_canonical_map(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
     cfg = cfg or KGConfig()
     if not cmap:
         return nodes, edges
-    _merge_group = _merge_group_row
 
     # cmap came from an external linker, but the whole-graph rewrite
     # still fits the driver
     if (nodes.count() <= driver_threshold
             and edges.count() <= driver_threshold):
-        return _canonicalize_driver(nodes, edges, cmap, _merge_group)
+        return _canonicalize_driver(nodes, edges, cmap)
 
     cmap_ref = ray.put(cmap)
     # every node participating in any merge group (sources AND targets)
@@ -603,10 +565,7 @@ def apply_canonical_map(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
     from .dedup import EDGES_SCHEMA, NODES_SCHEMA
     merged_df = _collect_df(
         nodes.map_batches(keep_affected, batch_format="pyarrow"))
-    merged_df["aliases"] = merged_df["aliases"].map(
-        lambda v: list(v) if v is not None else [])
-    merged_rows = (merged_df.groupby("canonical_id", sort=False)
-                   .apply(_merge_group).reset_index(drop=True)
+    merged_rows = (_merge_groups(merged_df)
                    if len(merged_df) else merged_df.drop(
                        columns=["canonical_id"], errors="ignore"))
     merged_rows = _fill_schema_cols(merged_rows, NODES_SCHEMA)
@@ -626,24 +585,11 @@ def apply_canonical_map(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
                              "tail_id", pa.array(tail, pa.string()))
         # a merge can collapse both endpoints into one node — such
         # self-relations are invalid (agraph/relations.py:116-125)
-        import pyarrow.compute as pc
         return out.filter(pc.invert(pc.equal(out["head_id"], out["tail_id"])))
-
-    def resig_dedup(df: pd.DataFrame) -> pd.DataFrame:
-        """Rewritten endpoints can make two edges share a (head, type, tail)
-        signature — keep the max-confidence witness (utils.py:431-452)."""
-        from .dedup import EDGES_SCHEMA as _ES
-        df = _fill_schema_cols(df, _ES)
-        df = df.assign(__sig=df["head_id"] + "\x00" + df["relation_type"]
-                       + "\x00" + df["tail_id"])
-        s = df.sort_values(["confidence", "relation_id"],
-                           ascending=[False, True], kind="mergesort")
-        top = s.drop_duplicates("__sig", keep="first").set_index("__sig")
-        top["n_mentions"] = df.groupby("__sig", sort=False)["n_mentions"].sum()
-        return top.reset_index(drop=True)
 
     canon_edges = bucketed_group_reduce(
         edges.map_batches(rewrite_edges, batch_format="pyarrow"),
-        ["head_id", "relation_type", "tail_id"], resig_dedup,
+        ["head_id", "relation_type", "tail_id"],
+        lambda df: _resig_dedup(_fill_schema_cols(df, EDGES_SCHEMA)),
         schema=EDGES_SCHEMA)
     return canon_nodes, canon_edges

@@ -45,19 +45,26 @@ def bucketed_group_reduce(ds: "ray.data.Dataset", keys: List[str],
     ``num_buckets`` sets only the hash granularity the sort range-partitions
     on; the sort keeps the block count (hence per-task memory) of its input.
     When ``schema`` is given, each block's result is emitted as an Arrow
-    table with that schema (exact block sizing, typed list columns).
+    table with that schema (exact block sizing, typed list columns), else
+    with Ray's inferred types. Pandas schema metadata is dropped: it makes
+    the schema unhashable ("Failed to hash the schemas" in Ray's concat).
     """
+    from ray.data.block import BlockAccessor
+
     def per_block(df: pd.DataFrame):
         if len(df) == 0:
             return
         out = reduce_df(df.drop(columns=[BUCKET_COL]))
-        if schema is not None:
+        if schema is None:
+            out = BlockAccessor.for_block(out).to_arrow()
+        elif len(out) == 0:
             # empty frames carry NaN-float dtypes that can't cast to
             # list/typed columns — emit the typed empty table directly
-            out = schema.empty_table() if len(out) == 0 else \
-                pa.Table.from_pandas(out, schema=schema, preserve_index=False
-                                     ).replace_schema_metadata(None)
-        yield out
+            out = schema.empty_table()
+        else:
+            out = pa.Table.from_pandas(out, schema=schema,
+                                       preserve_index=False)
+        yield out.replace_schema_metadata(None)
 
     return (ds.map_batches(_add_bucket(keys, num_buckets),
                            batch_format="pyarrow")

@@ -106,6 +106,28 @@ def test_pdf_hex_and_tj_array():
     assert parse_pdf(pdf) == "abcd\nHIX!"
 
 
+def test_pdf_filter_of_earlier_object_not_applied_to_stream():
+    """An unfiltered text stream after a non-stream object whose dict
+    names a /Filter: the stream is read under its own dict, not from the
+    earlier object's ``<<`` on."""
+    content = b"BT /F1 12 Tf 72 720 Td (Hello) Tj ET"
+    pdf = (b"%PDF-1.4\n"
+           b"1 0 obj\n<< /Type /XObject /Filter /FlateDecode >>\nendobj\n"
+           b"5 0 obj\n<< /Length " + str(len(content)).encode() +
+           b" >>\nstream\n" + content + b"\nendstream\nendobj\n"
+           b"trailer\n<< >>\n%%EOF\n")
+    assert parse_pdf(pdf) == "Hello"
+
+
+def test_pdf_nested_dict_filter_kept():
+    import zlib
+    body = zlib.compress(b"BT (Nested) Tj ET")
+    pdf = (b"%PDF-1.4\n1 0 obj\n<< /Length " + str(len(body)).encode() +
+           b" /DecodeParms << /Columns 1 >> /Filter /FlateDecode >>\n"
+           b"stream\n" + body + b"\nendstream\nendobj\n%%EOF\n")
+    assert parse_pdf(pdf) == "Nested"
+
+
 def test_pdf_encrypted_raises():
     data = make_pdf(["secret"])
     data = data.replace(b"/Root 1 0 R", b"/Root 1 0 R /Encrypt 9 0 R")

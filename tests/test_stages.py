@@ -223,6 +223,25 @@ def test_link_entities_finds_near_duplicates(ray_session):
     assert {(p["src"], p["dst"]) for p in pairs} == {("entity_1", "entity_2")}
 
 
+def test_link_entities_keeps_best_sim_of_case_variants(ray_session):
+    """A case variant surfaces from minhash blocks (difflib ratio < 1)
+    and from its alias block (weighted score 1.0): the pair is reported
+    once, with its best sim, so a 0.95 threshold keeps it."""
+    import ray.data as rd
+    from agraph_ray.stages.canonicalize import (find_similar_entities,
+                                                link_entities)
+    variants = [("Acme Corp", "Acme corp"), ("Globex Inc", "Globex inc"),
+                ("Stark Industries", "Stark industries")]
+    for a, b in variants:
+        nodes = rd.from_items([_node("e1", a), _node("e2", b)])
+        pairs = link_entities(nodes, KGConfig()).take_all()
+        assert [(p["src"], p["dst"], p["sim"]) for p in pairs] == \
+            [("e1", "e2", 1.0)], (a, b)
+        kept = find_similar_entities(nodes, KGConfig(),
+                                     similarity_threshold=0.95).take_all()
+        assert len(kept) == 1, (a, b)
+
+
 def test_canonicalize_rewrites_edges(ray_session):
     import ray.data as rd
     from agraph_ray.stages.canonicalize import canonicalize
@@ -402,3 +421,32 @@ def test_bucketed_group_reduce_schema_types_empty_results(ray_session):
         num_buckets=4, schema=schema).materialize()
     assert out.count() == 0
     assert out.schema().base_schema == schema
+
+
+def test_distinct_on_round_trip_logs_no_schema_hash_warning(ray_session,
+                                                            tmp_path):
+    """Reduce outputs carry no pandas schema metadata, whose dict makes a
+    pyarrow schema unhashable: Ray then logs "Failed to hash the schemas"
+    and skips its schema-unify fast path on every concat."""
+    import io
+    import logging
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from agraph_ray.stages.common import distinct_on
+
+    t = pa.table({"src": [f"e{i % 37}" for i in range(400)],
+                  "dst": [f"f{i % 11}" for i in range(400)],
+                  "sim": [0.5] * 400})
+    buf = io.StringIO()
+    handler = logging.StreamHandler(buf)
+    log = logging.getLogger("ray.data")
+    log.addHandler(handler)
+    try:
+        distinct_on(rd.from_arrow(t).repartition(8), ["src", "dst"],
+                    8).write_parquet(str(tmp_path))
+        assert rd.read_parquet(str(tmp_path)).count() == 400
+    finally:
+        log.removeHandler(handler)
+    assert "Failed to hash the schemas" not in buf.getvalue()
