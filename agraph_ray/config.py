@@ -60,10 +60,6 @@ class KGConfig:
 
     # --- materialization ---
     min_rows_per_file: int = 200_000
-    # dedup reads the in-memory extract output while mentions bytes stay
-    # under this fraction of the object store (zero-copy re-scans), else
-    # the pruned parquet checkpoint (spill-safe; see kg_build.py A/B)
-    dedup_inmem_store_fraction: float = 0.25
 
     # --- co-occurrence blowup guard (reference has the same quadratic
     #     behaviour unbounded, relation_extractor.py:447-487; we cap and count) ---

@@ -6,8 +6,10 @@
 Two entry points:
 
 - :func:`build_kg` — the streaming single-job pipeline. One extraction
-  execution, checkpointed as the ``mentions`` Parquet dataset; node and edge
-  branches read it back with predicate pushdown.
+  execution, checkpointed as the ``mentions`` Parquet dataset; one dedup
+  scan (``stages/dedup.py::dedup_both``) turns the mentions into nodes and
+  edges, read from memory while they fit the object store, else from the
+  checkpoint.
 
 - :func:`build_kg_resumable` — the production shape for 10^12-turn inputs:
   input shards are processed in partition groups, each committing a
@@ -32,7 +34,7 @@ import pyarrow.dataset as pads
 from ..config import KGConfig
 from ..stages.canonicalize import canonicalize
 from ..stages.chunk import chunk_documents
-from ..stages.dedup import dedup_both, dedup_edges, dedup_entities
+from ..stages.dedup import MENTION_COLS, dedup_both
 from ..stages.extract import extract_mentions, extract_mentions_llm
 from ..stages.materialize import (atomic_write_parquet, commit_manifest,
                                   is_committed)
@@ -65,15 +67,13 @@ def _mentions_to_outputs(out_dir: str, cfg: KGConfig,
                          mentions=None, pool=None,
                          exact_as: Optional[Sequence[str]] = None
                          ) -> Dict[str, str]:
-    """Global stages: mentions (in-memory Dataset or the parquet
-    checkpoint) → triples / nodes / edges tables.
+    """Global stages: mentions (in-memory Dataset or, when ``mentions``
+    is None, the parquet checkpoint) → triples / nodes / edges tables.
 
-    The node and edge dedup branches execute CONCURRENTLY (two threads,
-    each its own streaming execution) — their shuffles overlap instead of
-    serializing; artifact writes also overlap downstream compute.
+    One dedup scan yields both nodes and edges; the artifact writes run on
+    ``pool``'s threads and overlap the downstream compute.
     """
     from concurrent.futures import ThreadPoolExecutor
-    import pyarrow.compute as pc2
 
     import ray.data as rd
     mentions_dir = os.path.join(out_dir, "mentions")
@@ -82,42 +82,11 @@ def _mentions_to_outputs(out_dir: str, cfg: KGConfig,
     if own_pool:
         pool = ThreadPoolExecutor(max_workers=4)
 
-    ent_cols = ["kind", "conv_id", "entity_id", "name", "norm_name",
-                "entity_type", "description", "aliases", "properties",
-                "confidence", "source", "n_mentions", "n_convs"]
-    tri_cols = ["kind", "conv_id", "relation_id", "subj", "subj_type", "pred",
-                "obj", "obj_type", "head_id", "tail_id", "description",
-                "properties", "confidence", "source", "n_mentions"]
-
     t = time.time()
     if mentions is None:
-        # Parquet-checkpoint regime (mentions exceeded the store): the
-        # FUSED single-scan dedup reads the checkpoint ONCE for both
-        # kinds (stages/dedup.py dedup_both) — halves the dominant I/O
-        # vs two pruned per-kind reads.
-        fused_cols = sorted(set(ent_cols) | set(tri_cols))
-        nodes, edges = dedup_both(
-            rd.read_parquet(mentions_dir, columns=fused_cols), cfg)
-        nodes, edges = nodes.materialize(), edges.materialize()
-    else:
-        # In-memory regime: per-kind branches overlap on threads — each
-        # side's per-execution serial overhead hides under the other.
-        # A/B at 554k turns / 32 CPUs, writes no-opped: overlapped
-        # per-kind 3.9-5.5 s vs fused single-scan 5.8-7.8 s (both pandas
-        # partials serialize inside each fused task), so in-store
-        # re-scans stay per-kind; sequential was 7.6-11.5 s (r2
-        # measurement).
-        entities = mentions.map_batches(
-            lambda t: t.filter(pc2.equal(t["kind"], "entity"))
-            .select(ent_cols), batch_format="pyarrow")
-        triples = mentions.map_batches(
-            lambda t: t.filter(pc2.equal(t["kind"], "triple"))
-            .select(tri_cols), batch_format="pyarrow")
-        f_nodes = pool.submit(
-            lambda: dedup_entities(entities, cfg).materialize())
-        f_edges = pool.submit(
-            lambda: dedup_edges(triples, cfg).materialize())
-        nodes, edges = f_nodes.result(), f_edges.result()
+        mentions = rd.read_parquet(mentions_dir, columns=MENTION_COLS)
+    nodes, edges = dedup_both(mentions, cfg)
+    nodes, edges = nodes.materialize(), edges.materialize()
     if metrics is not None:
         metrics["sec_dedup"] = round(time.time() - t, 2)
 
@@ -189,23 +158,15 @@ def kg_tables(transcripts: "ray.data.Dataset",
     """In-memory variant for moderate inputs (driver queries / tests):
     transcripts Dataset → (nodes, edges, mentions) Datasets without any
     Parquet checkpointing. The extraction output is pinned once
-    (materialize) so the node and edge branches don't re-run it; use
+    (materialize) so dedup and the caller share one extraction; use
     :func:`build_kg` for large corpora. ``engine`` = pluggable extraction
     engine (deterministic RuleExtractor default; extract/llm.py's
     LLMExtractorEngine for the production path)."""
-    import pyarrow.compute as pc2
     cfg = cfg or KGConfig()
     docs = reassemble(transcripts, cfg)
     mentions = _run_extract(docs, cfg, engine, engine_factory,
                             llm_opts).materialize()
-    entities = mentions.map_batches(
-        lambda t: t.filter(pc2.equal(t["kind"], "entity")),
-        batch_format="pyarrow")
-    triples = mentions.map_batches(
-        lambda t: t.filter(pc2.equal(t["kind"], "triple")),
-        batch_format="pyarrow")
-    nodes = dedup_entities(entities, cfg)
-    edges = dedup_edges(triples, cfg)
+    nodes, edges = dedup_both(mentions, cfg)
     if do_canonicalize:
         nodes = nodes.materialize()
         edges = edges.materialize()
@@ -262,40 +223,24 @@ def build_kg(transcripts, out_dir: str, cfg: Optional[KGConfig] = None,
         atomic_write_parquet, mentions, os.path.join(out_dir, "mentions"),
         cfg.min_rows_per_file)
 
-    # Dedup sources from the in-memory extract output while it fits the
-    # object store comfortably, else from the mentions PARQUET checkpoint
-    # (pruned columns + kind pushdown). The discriminator is mentions
-    # BYTES vs store headroom, not CPU count: the old wide-cluster
-    # measurement (in-memory 94-104 s vs 21 s parquet at 1.1M turns) was
-    # spill-induced — full-width blocks evicted to disk get re-read twice
-    # — while within-store re-scans are zero-copy. Re-measured at 554k
-    # turns / 32 CPUs with the r3 two-level reduce: in-memory 7.6 s vs
-    # parquet 10.7-11.5 s sequential (4.6-5.5 vs 6.2-6.8 overlapped).
-    # Blocking on the checkpoint write (big regime only) also makes the
-    # dedup phase restartable from the checkpoint.
+    # Dedup scans the in-memory extract output while it takes under a
+    # quarter of the object store, else the mentions PARQUET checkpoint
+    # (pruned columns). Either way it is one scan for both kinds. The
+    # discriminator is mentions BYTES vs store headroom, not CPU count:
+    # the old wide-cluster measurement (in-memory 94-104 s vs 21 s parquet
+    # at 1.1M turns) was spill-induced — full-width blocks evicted to disk
+    # and read back — while within-store scans are zero-copy. Blocking on
+    # the checkpoint write (big regime only) also makes the dedup phase
+    # restartable from the checkpoint.
     import ray as _ray
     store = _ray.cluster_resources().get("object_store_memory", 0) \
         or (4 << 30)
-    if (mentions.size_bytes() or 0) > \
-            store * cfg.dedup_inmem_store_fraction:
+    if (mentions.size_bytes() or 0) > store / 4:
         metrics["n_mentions"] = futures["mentions"].result()
-        src = None
         mentions = None   # release the in-memory blocks — the parquet
         #                   checkpoint is now the source of truth
-    else:
-        src = mentions
-        # Coalesce for the dedup shuffles: extraction emits fine-grained
-        # blocks (~8/CPU — right for its own load balancing, wrong for
-        # the two dedup all-to-alls, whose cost is per-block scheduling).
-        # The mentions are materialized, so the byte size is known free:
-        # target ~32 MB blocks, floor 8, only when it actually halves
-        # the block count. One cheap streaming pass on the small table.
-        nb_now = mentions.num_blocks()
-        nb_tgt = max(8, -(-int(mentions.size_bytes() or 0) // (32 << 20)))
-        if nb_tgt * 2 <= nb_now:
-            src = mentions.repartition(nb_tgt).materialize()
     tables = _mentions_to_outputs(out_dir, cfg, do_canonicalize, metrics,
-                                  mentions=src, pool=pool)
+                                  mentions=mentions, pool=pool)
     t = time.time()
     metrics["n_documents"] = futures["documents"].result()
     metrics["n_mentions"] = futures["mentions"].result()

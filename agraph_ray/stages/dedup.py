@@ -14,10 +14,12 @@ Edges: ``mentions[kind=triple]`` → ``edges`` keyed by ``relation_id`` (the
 (head, type, tail) signature dedup of agraph/utils.py:431-452), keeping the
 max-confidence witness and a mention count.
 
-Scale shape: both run a *partial per-batch merge first* (combiner) so the
-global ``groupby`` shuffles one row per key per batch instead of one row
-per mention — the standard pre-aggregation pattern for hot-key-heavy
+Scale shape: one orchestration, :func:`dedup_both`, dedups both kinds in a
+single scan of the mentions. A *partial per-batch merge* (combiner) runs
+first, so the final merge sees one row per key per batch instead of one
+row per mention — the standard pre-aggregation pattern for hot-key-heavy
 distributions (planted vocabulary entities appear in most conversations).
+:func:`dedup_entities` and :func:`dedup_edges` are its per-kind views.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ ENTITY_PARTIAL_SCHEMA = pa.schema([
     # string form made the final single-task merge 4.3 s of serial wall
     # at 128k convs; the int unions/nunique below are pure lexsort/
     # reduceat numpy). Bounded by the entity's true conversation
-    # fan-out; the _single_task_reduce byte cap routes oversized
-    # lineage to the distributed bucketed path automatically. For
+    # fan-out; dedup_both's byte caps route oversized lineage to the
+    # distributed bucketed path automatically. For
     # sketch-bounded state at extreme fan-out see
     # ops.sketch.hll_count_distinct.
     ("conv_ids", pa.list_(pa.int64())),
@@ -295,55 +297,6 @@ def _merge_entities_bucket(df: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def _single_task_reduce(partials: "ray.data.Dataset", reduce_df,
-                        schema: pa.Schema,
-                        cap_bytes: int = 256 << 20,
-                        combiner=None, combine_width: int = 16):
-    """Size-adaptive reduce: the per-batch combiners collapse the mention
-    stream to (vocabulary x blocks) partial rows — usually a few hundred
-    MB at most. Below ``cap_bytes`` the keyed all-to-all is pure overhead
-    (its remote compute is ~2 s; the rest is per-block scheduling latency
-    that DOESN'T shrink with more CPUs — measured 10-80 s of wall at 32
-    CPUs depending on host state), so reduce the whole partial table in
-    ONE task instead. Returns None above the cap (caller falls back to
-    the bucketed shuffle — the 100-TB path, where partial volume grows
-    with block count).
-
-    When ``combiner`` (pa.Table → pa.Table, same schema in and out) is
-    given and the partial table spans many blocks, a SECOND combine level
-    runs first: repartition to ``combine_width`` blocks, collapse each to
-    ≤ vocabulary rows in parallel, then the single final task merges only
-    width × vocabulary rows. Legal because the merges are associative
-    (per-key witness-priority winners, unions, sums — the r3 property
-    rewrite); measured: the final entity merge over 86k partial rows cost
-    1.46 s SERIAL at 554k turns — the dominant non-scaling term of the
-    8→32 scaling leg — vs ~0.1 s over 16 × 718 pre-combined rows."""
-    p = partials.materialize()
-    if (p.size_bytes() or 0) > cap_bytes:
-        return None, p
-
-    def whole(batch: pa.Table) -> pa.Table:
-        out = reduce_df(batch.to_pandas())
-        if len(out) == 0:
-            return schema.empty_table()
-        return pa.Table.from_pandas(
-            out, schema=schema,
-            preserve_index=False).replace_schema_metadata(None)
-
-    small = p
-    n_rows = p.count()
-    if combiner is not None and p.num_blocks() > 2 * combine_width \
-            and n_rows > 8 * combine_width:
-        # batch_size coalescing fans the combine over ~combine_width tasks
-        # WITHOUT an all-to-all (a repartition here costs more than the
-        # serial merge it saves — measured)
-        small = p.map_batches(
-            combiner, batch_format="pyarrow",
-            batch_size=max(1, n_rows // combine_width))
-    return (small.repartition(1).map_batches(
-        whole, batch_format="pyarrow", batch_size=None), p)
-
-
 def _precombine(partials: "ray.data.Dataset", combiner,
                 width: int = 64) -> "ray.data.Dataset":
     """Second-level combine ahead of the bucketed all-to-all: re-merge
@@ -360,28 +313,6 @@ def _precombine(partials: "ray.data.Dataset", combiner,
         return partials.map_batches(combiner, batch_format="pyarrow",
                                     batch_size=max(1, n // width))
     return partials
-
-
-def dedup_entities(entity_mentions: "ray.data.Dataset",
-                   cfg: Optional[KGConfig] = None,
-                   num_buckets: int = 64) -> "ray.data.Dataset":
-    """entity mentions → nodes: per-batch combiner, then a single-task
-    merge while the combined partials are dictionary-sized (see
-    _single_task_reduce), else the bucketed vectorized merge (one pandas
-    reduction per bucket, not per name)."""
-    from .common import bucketed_group_reduce
-    partials = entity_mentions.map_batches(_entity_partial,
-                                           batch_format="pyarrow")
-    small, partials = _single_task_reduce(partials,
-                                          _merge_entities_bucket,
-                                          NODES_SCHEMA,
-                                          combiner=_entity_partial)
-    if small is not None:
-        return small
-    return bucketed_group_reduce(_precombine(partials, _entity_partial),
-                                 ["norm_name"],
-                                 _merge_entities_bucket, num_buckets,
-                                 schema=NODES_SCHEMA)
 
 
 EDGES_SCHEMA = pa.schema([
@@ -458,51 +389,25 @@ def merge_edges_bucket(df: pd.DataFrame,
     return top.reset_index()
 
 
-def dedup_edges(triple_mentions: "ray.data.Dataset",
-                cfg: Optional[KGConfig] = None,
-                num_buckets: int = 64) -> "ray.data.Dataset":
-    """triple mentions → edges, deduped on relation_id.
-
-    Endpoint existence (the assembly filter of
-    agraph/builders/llm_builders.py:699-702) holds by construction: triples
-    only ever reference entities extracted from the same document, and exact
-    entity dedup is keyed by the same norm_name the ids hash — so every
-    head_id/tail_id has a node row. Verified by the dangling-edge test.
-    """
-    from .common import bucketed_group_reduce
-    partials = triple_mentions.map_batches(_edge_partial, batch_format="pyarrow")
-    small, partials = _single_task_reduce(partials, merge_edges_bucket,
-                                          EDGES_SCHEMA,
-                                          combiner=_edge_partial)
-    if small is not None:
-        return small
-    return bucketed_group_reduce(_precombine(partials, _edge_partial),
-                                 ["relation_id"],
-                                 merge_edges_bucket, num_buckets,
-                                 schema=EDGES_SCHEMA)
-
-
 # ---------------------------------------------------------------------------
-# Fused single-scan dedup (both kinds in one pass over the mentions blocks)
+# Exact dedup: both kinds in one scan of the mentions blocks
 # ---------------------------------------------------------------------------
 # One map over the mentions blocks emits a kind-tagged union of entity and
 # edge partials, one bounded re-combine (~combine_width tasks), and — while
 # the combined partials are dictionary-sized (driver_cap) — both merges
 # finish on the driver from `to_arrow_refs` (a few MB; the same associative
-# merge functions, so the result is partition-invariant and equal to the
-# distributed path — pinned by test_dedup_both_equals_per_kind). Above
-# driver_cap each side finishes with the repartition(1) single-task merge;
-# above cap_bytes both kinds finish in one composite-key bucketed reduce.
+# merge functions, so the result is partition-invariant — pinned against a
+# one-pass reference by test_dedup_both_equals_per_kind). Above driver_cap
+# each side finishes with the repartition(1) single-task merge; above
+# cap_bytes both kinds finish in one composite-key bucketed reduce.
 #
-# WHERE IT WINS (measured, 554k turns / 32 CPUs): the PARQUET-checkpoint
-# regime — the checkpoint is read ONCE for both kinds instead of twice.
-# Locally (page-cached reads) that's a wash (fused 6.3-7.7 s vs two-read
-# 6.9-7.4 s: the two pandas partials serialize inside each fused task,
-# offsetting the read saving); at 100-TB scan-I/O-bound storage the read
-# halving is the dominant term. For IN-STORE mentions the per-kind
-# overlapped branches stay faster (3.9-5.5 s vs 5.8-7.8 s fused — in-store
-# re-scans are zero-copy, so the extra scan is cheaper than serializing
-# the partials), so build_kg keeps per-kind there.
+# This is the only exact-dedup orchestration: in-memory mentions and the
+# Parquet checkpoint are both scanned once for both kinds. Against the
+# per-kind pair it replaced (one filtered scan per kind, overlapped on two
+# threads): 0.43 vs 0.52 s at 1 Ray CPU (78k mention rows, 6 blocks), but
+# 1.34-1.53 vs 1.17-1.47 s at 4 Ray CPUs (804k rows in 30 small blocks,
+# where the per-batch partials pay per-block overhead) — BASELINE.md,
+# "One exact-dedup path".
 
 _EDGE_ONLY = ["relation_id", "head_id", "tail_id", "relation_type",
               "subj", "obj", "subj_type", "obj_type"]
@@ -544,6 +449,8 @@ _ENT_RAW = ["conv_id", "entity_id", "name", "norm_name", "entity_type",
 _EDGE_RAW = ["relation_id", "subj", "subj_type", "pred", "obj", "obj_type",
              "head_id", "tail_id", "description", "properties",
              "confidence", "source", "n_mentions"]
+# every mention column dedup reads (the checkpoint scan prunes to these)
+MENTION_COLS = sorted({"kind", *_ENT_RAW, *_EDGE_RAW})
 
 
 def _fused_partial(batch: pa.Table) -> pa.Table:
@@ -688,3 +595,34 @@ def dedup_both(mentions: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
     return (_side(_ENT_NAMES, _merge_entities_bucket, NODES_SCHEMA,
                   "entity"),
             _side(_EDGE_NAMES, merge_edges_bucket, EDGES_SCHEMA, "triple"))
+
+
+def _as_kind(mentions: "ray.data.Dataset", kind: str) -> "ray.data.Dataset":
+    """Tag mentions of one kind with it (their ``kind`` column is
+    optional) so :func:`dedup_both` files every row under that kind."""
+    def tag(t: pa.Table) -> pa.Table:
+        if "kind" in t.column_names:
+            t = t.drop_columns(["kind"])
+        return t.append_column("kind", pa.array([kind] * t.num_rows,
+                                                pa.string()))
+    return mentions.map_batches(tag, batch_format="pyarrow")
+
+
+def dedup_entities(entity_mentions: "ray.data.Dataset",
+                   cfg: Optional[KGConfig] = None) -> "ray.data.Dataset":
+    """entity mentions → nodes: the entity side of :func:`dedup_both`."""
+    return dedup_both(_as_kind(entity_mentions, "entity"), cfg)[0]
+
+
+def dedup_edges(triple_mentions: "ray.data.Dataset",
+                cfg: Optional[KGConfig] = None) -> "ray.data.Dataset":
+    """triple mentions → edges, deduped on relation_id: the edge side of
+    :func:`dedup_both`.
+
+    Endpoint existence (the assembly filter of
+    agraph/builders/llm_builders.py:699-702) holds by construction: triples
+    only ever reference entities extracted from the same document, and exact
+    entity dedup is keyed by the same norm_name the ids hash — so every
+    head_id/tail_id has a node row. Verified by the dangling-edge test.
+    """
+    return dedup_both(_as_kind(triple_mentions, "triple"), cfg)[1]

@@ -123,8 +123,16 @@ def atomic_write_parquet(ds, final_dir: str,
         except TypeError:  # older Ray releases use num_rows_per_file
             ds.write_parquet(tmp, num_rows_per_file=min_rows_per_file)
         # a zero-block dataset writes nothing at all — an empty directory
-        # is still a valid (0-row) artifact and keeps the rename atomic
+        # is still a valid (0-row) artifact and keeps the rename atomic.
+        # A materialized dataset knows its schema without executing
+        # anything: keep it in a 0-row file so readers still see columns.
         os.makedirs(tmp, exist_ok=True)
+        schema = None if os.listdir(tmp) \
+            else ds.schema(fetch_if_missing=False)
+        if schema is not None and isinstance(schema.base_schema, pa.Schema):
+            import pyarrow.parquet as pq
+            pq.write_table(schema.base_schema.empty_table(),
+                           os.path.join(tmp, "part-0.parquet"))
     if os.path.exists(final_dir):
         shutil.rmtree(final_dir)
     os.replace(tmp, final_dir)

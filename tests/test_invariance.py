@@ -217,7 +217,7 @@ def test_inv_dedup_entities(ray_session):
     from agraph_ray.stages.dedup import dedup_entities
     _assert_invariant(
         lambda: (_mentions_df(),),
-        lambda ds: dedup_entities(ds, KGConfig(), num_buckets=8))
+        lambda ds: dedup_entities(ds, KGConfig()))
 
 
 def test_inv_link_entities(ray_session):
@@ -399,7 +399,7 @@ def test_inv_dedup_edges(ray_session):
             source="cooccurrence"))
     _assert_invariant(
         lambda: (pd.DataFrame(rows),),
-        lambda ds: dedup_edges(ds, num_buckets=8))
+        lambda ds: dedup_edges(ds))
 
 
 def test_inv_funnel_depths(ray_session):
@@ -486,9 +486,8 @@ def _mixed_mentions_df() -> pd.DataFrame:
 
 
 def test_inv_dedup_both_fused(ray_session):
-    """The fused single-scan dedup is partition-invariant AND byte-equal
-    to the per-kind dedup paths, in every size regime (driver merge, mid
-    repartition(1) merge)."""
+    """The fused single-scan dedup is partition-invariant in every size
+    regime (driver merge, mid repartition(1) merge, bucketed reduce)."""
     from agraph_ray.stages.dedup import dedup_both
 
     for kwargs in ({}, {"driver_cap": 0}, {"cap_bytes": 1}):
@@ -497,29 +496,38 @@ def test_inv_dedup_both_fused(ray_session):
             lambda ds: dedup_both(ds, KGConfig(), **kwargs))
 
 
+def _one_pass_reference(df: pd.DataFrame):
+    """Per kind, one partial over ALL of its rows and one bucket merge —
+    the reference's single dict-update pass, with no batching, combine
+    levels or shuffles in between."""
+    from agraph_ray.stages.dedup import (_edge_partial, _entity_partial,
+                                         _merge_entities_bucket,
+                                         merge_edges_bucket)
+
+    def rows(kind):
+        part = df[df["kind"] == kind].dropna(axis=1, how="all")
+        return pa.Table.from_pandas(part, preserve_index=False)
+    nodes = _merge_entities_bucket(_entity_partial(rows("entity")).to_pandas())
+    edges = merge_edges_bucket(_edge_partial(rows("triple")).to_pandas())
+    return nodes, edges
+
+
 def test_dedup_both_equals_per_kind(ray_session):
-    from agraph_ray.stages.dedup import (dedup_both, dedup_edges,
-                                         dedup_entities)
+    from agraph_ray.stages.dedup import dedup_both
     import ray.data as rd
     df = _mixed_mentions_df()
     ds = rd.from_pandas([df]).repartition(7)
-    nodes_f, edges_f = dedup_both(ds, KGConfig())
-    ents = df[df["kind"] == "entity"]
-    edgs = df[df["kind"] == "triple"]
-    nodes_ref = dedup_entities(rd.from_pandas([ents]), KGConfig())
-    edges_ref = dedup_edges(rd.from_pandas([edgs]))
-    pd.testing.assert_frame_equal(_normalize(nodes_f), _normalize(nodes_ref),
-                                  check_dtype=False)
-    pd.testing.assert_frame_equal(_normalize(edges_f), _normalize(edges_ref),
-                                  check_dtype=False)
-    # beyond cap_bytes the fused path continues from its partials with a
-    # key-bucketed reduce per kind — still value-identical to per-kind
-    pair = dedup_both(ds, KGConfig(), cap_bytes=1)
-    assert pair is not None
-    pd.testing.assert_frame_equal(_normalize(pair[0]),
-                                  _normalize(nodes_ref), check_dtype=False)
-    pd.testing.assert_frame_equal(_normalize(pair[1]),
-                                  _normalize(edges_ref), check_dtype=False)
+    nodes_ref, edges_ref = _one_pass_reference(df)
+    # the driver-merge regime, and beyond cap_bytes the composite-key
+    # bucketed reduce that continues from the partials
+    for kwargs in ({}, {"cap_bytes": 1}):
+        nodes, edges = dedup_both(ds, KGConfig(), **kwargs)
+        pd.testing.assert_frame_equal(_normalize(nodes),
+                                      _normalize(nodes_ref),
+                                      check_dtype=False)
+        pd.testing.assert_frame_equal(_normalize(edges),
+                                      _normalize(edges_ref),
+                                      check_dtype=False)
 
 
 # ---------------------------------------------------------------------------
