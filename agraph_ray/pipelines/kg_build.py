@@ -14,11 +14,12 @@ Two entry points:
 - :func:`build_kg_resumable` — the production shape for 10^12-turn inputs:
   input shards are processed in partition groups, each committing a
   ``mentions`` partition + lineage manifest; a restart skips committed
-  partitions (kill/restart test: tests/test_resume.py). Global stages
-  (dedup/link/materialize) then run over all mention partitions. Relies on
-  the loader contract that shards are hash-partitioned by conv_id (our
-  generator guarantees it; a general loader gets it from one
-  repartition-by-key pass).
+  partitions (kill/restart test: tests/test_resume.py). :func:`run_phase`
+  is the one commit/skip rule, shared with ``pipelines/llm_e2e.py``'s
+  phases. Global stages (dedup/link/materialize) then run over all
+  mention partitions. Relies on the loader contract that shards are
+  hash-partitioned by conv_id (our generator guarantees it; a general
+  loader gets it from one repartition-by-key pass).
 """
 
 from __future__ import annotations
@@ -26,19 +27,28 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from ..config import KGConfig
 from ..stages.canonicalize import canonicalize
 from ..stages.chunk import chunk_documents
-from ..stages.dedup import MENTION_COLS, dedup_both
+from ..stages.dedup import EDGES_SCHEMA, MENTION_COLS, dedup_both
 from ..stages.extract import extract_mentions, extract_mentions_llm
 from ..stages.materialize import (atomic_write_parquet, commit_manifest,
-                                  is_committed)
+                                  read_manifest)
 from ..stages.reassemble import reassemble
+
+# deduped (subj, pred, obj) table — the P/R gate artifact: these edge
+# columns, with relation_type renamed pred
+_TRIPLE_COLS = ["relation_id", "subj", "subj_type", "relation_type", "obj",
+                "obj_type", "confidence", "source", "n_mentions"]
+_TRIPLES_SCHEMA = pa.schema(
+    [EDGES_SCHEMA.field(c).with_name("pred" if c == "relation_type" else c)
+     for c in _TRIPLE_COLS])
 
 
 @dataclass
@@ -46,6 +56,21 @@ class KGBuildResult:
     out_dir: str
     tables: Dict[str, str]
     metrics: Dict[str, float] = field(default_factory=dict)
+
+
+def run_phase(out_dir: str, stage: str, pid: Any,
+              fn: Callable[[], Dict[str, Any]]
+              ) -> Tuple[Dict[str, Any], bool]:
+    """The one commit/skip rule of the resumable drivers. A committed
+    ``(stage, pid)`` returns its manifest's metrics without running
+    ``fn``; otherwise ``fn()`` runs and the metrics dict it returns is
+    committed. Returns ``(metrics, skipped)``."""
+    done = read_manifest(out_dir, stage, pid)
+    if done is not None:
+        return done, True
+    metrics = fn()
+    commit_manifest(out_dir, stage, pid, metrics)
+    return metrics, False
 
 
 def _run_extract(docs, cfg, engine=None, engine_factory=None,
@@ -103,14 +128,10 @@ def _mentions_to_outputs(out_dir: str, cfg: KGConfig,
                                    edges_exact_dir, cfg.min_rows_per_file),
     }
 
-    # deduped (subj, pred, obj) table — the P/R gate artifact
     triples_dir = os.path.join(out_dir, "triples")
-    tri_out = edges.select_columns(
-        ["relation_id", "subj", "subj_type", "relation_type", "obj",
-         "obj_type", "confidence", "source", "n_mentions"]).map_batches(
-        lambda t: t.rename_columns(
-            ["relation_id", "subj", "subj_type", "pred", "obj", "obj_type",
-             "confidence", "source", "n_mentions"]), batch_format="pyarrow")
+    tri_out = edges.select_columns(_TRIPLE_COLS).map_batches(
+        lambda t: t.rename_columns(_TRIPLES_SCHEMA.names),
+        batch_format="pyarrow")
     writes["triples"] = pool.submit(atomic_write_parquet, tri_out,
                                     triples_dir, cfg.min_rows_per_file)
     tables["triples"] = triples_dir
@@ -118,6 +139,8 @@ def _mentions_to_outputs(out_dir: str, cfg: KGConfig,
     n_nodes = writes["nodes_exact"].result()
     n_edges = writes["edges_exact"].result()
     n_triples = writes["triples"].result()
+    if n_triples == 0:   # Ray skips the rename on a 0-row block: no columns
+        atomic_write_parquet(_TRIPLES_SCHEMA.empty_table(), triples_dir)
     if metrics is not None:
         metrics["sec_dedup_write"] = round(time.time() - t, 2)
 
@@ -267,9 +290,9 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
                            metrics: Optional[Dict] = None) -> None:
     """The checkpointed per-partition extract loop shared by
     :func:`build_kg_resumable` and the composed LLM-path pipeline
-    (pipelines/llm_e2e.py): each partition group commits a ``mentions``
-    Parquet partition + lineage manifest; committed partitions are
-    skipped on restart."""
+    (pipelines/llm_e2e.py): each partition group runs through
+    :func:`run_phase`, committing a ``mentions`` Parquet partition +
+    lineage manifest; committed partitions are skipped on restart."""
     from concurrent.futures import ThreadPoolExecutor
 
     import ray as _ray
@@ -280,11 +303,8 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
         cpus = int(_ray.cluster_resources().get("CPU", 8)) \
             if _ray.is_initialized() else 8
         group_concurrency = 1 if cpus < 16 else max(2, min(4, cpus // 16))
-    if metrics is not None:
-        metrics["n_partitions"] = len(groups)
-        metrics.setdefault("skipped", 0)
 
-    def run_group(pid: int, files: List[str]) -> None:
+    def run_group(pid: int, files: List[str]) -> Dict[str, Any]:
         part_t0 = time.time()
         from ..sources import sized_read_parquet
         ds = sized_read_parquet(files,
@@ -301,28 +321,25 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
         # schema has no columns — filtering it would raise
         n_ent = (part.count_rows(filter=pc.field("kind") == "entity")
                  if "kind" in part.schema.names else 0)
-        commit_manifest(out_dir, "mentions", pid, {
-            "input_files": files, "input_rows": n_turns,
-            "output_rows": n_rows, "entities": n_ent,
-            "triples": n_rows - n_ent,
-            "duration_sec": time.time() - part_t0,
-        })
+        return {"input_files": files, "input_rows": n_turns,
+                "output_rows": n_rows, "entities": n_ent,
+                "triples": n_rows - n_ent,
+                "duration_sec": time.time() - part_t0}
 
-    todo = []
-    for pid, files in enumerate(groups):
-        if is_committed(out_dir, "mentions", pid):
-            if metrics is not None:
-                metrics["skipped"] += 1
-        else:
-            todo.append((pid, files))
-    if group_concurrency <= 1 or len(todo) <= 1:
-        for pid, files in todo:
-            run_group(pid, files)
+    def run(pf: Tuple[int, List[str]]) -> bool:
+        return run_phase(out_dir, "mentions", pf[0],
+                         lambda: run_group(*pf))[1]
+
+    if group_concurrency <= 1 or len(groups) <= 1:
+        skipped = [run(pf) for pf in enumerate(groups)]
     else:
         with ThreadPoolExecutor(max_workers=group_concurrency) as pool:
             # list() so the first exception propagates (fail the build,
             # committed partitions stay committed — that's the resume)
-            list(pool.map(lambda pf: run_group(*pf), todo))
+            skipped = list(pool.map(run, enumerate(groups)))
+    if metrics is not None:
+        metrics["n_partitions"] = len(groups)
+        metrics["skipped"] = sum(skipped)
 
 
 def build_kg_resumable(shard_paths: Sequence[str], out_dir: str,

@@ -5,7 +5,10 @@ chains: LLM extraction → entity dedup → embedding → similarity candidate
 search → LLM pairwise dedup judge → merge. This module composes the
 engine's existing stages into that lifecycle as SIX resumable phases,
 each committing a Parquet artifact + manifest so a killed job restarts
-from the last committed phase:
+from the last committed phase. Every commit/skip goes through
+``kg_build.run_phase``: phases 2-6 commit ``manifests/llm_e2e-<phase>.json``
+holding the metrics they return, and a resumed run reads a committed
+phase's metrics back, so it reports the same counts as the first run:
 
   1. ``mentions``      — per-partition LLM extract (actor pool,
                          in-flight decoupled from CPU count), the same
@@ -43,17 +46,15 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..config import KGConfig
-from ..stages.materialize import (atomic_write_parquet, commit_manifest,
-                                  is_committed)
+from ..stages.materialize import atomic_write_parquet, commit_manifest
 from .kg_build import (KGBuildResult, _mentions_to_outputs,
-                       run_mention_partitions)
+                       run_mention_partitions, run_phase)
 
 _STAGE = "llm_e2e"
 
 
-def _embed_phase(out_dir: str, cfg: KGConfig, embedder, embed_dim: int,
-                 concurrency: Optional[int], num_shards: int,
-                 metrics: Dict) -> str:
+def _embed_phase(out_dir: str, embedder, embed_dim: int,
+                 concurrency: Optional[int], num_shards: int) -> Dict:
     """nodes_exact → (id, vec) ANN shard files + manifest.json."""
     import pyarrow as pa
     import pyarrow.dataset as pads
@@ -82,9 +83,7 @@ def _embed_phase(out_dir: str, cfg: KGConfig, embedder, embed_dim: int,
     files = sorted(f for f in os.listdir(ann_dir) if f.endswith(".parquet"))
     with open(os.path.join(ann_dir, "manifest.json"), "w") as fh:
         json.dump({"shards": files, "counts": []}, fh)
-    metrics["n_embedded"] = n
-    metrics["ann_shards"] = len(files)
-    return ann_dir
+    return {"n_embedded": n, "ann_shards": len(files)}
 
 
 def ann_candidate_pairs(emb_ds, pool_shards: List, k: int,
@@ -157,8 +156,15 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
 
     cfg = cfg or KGConfig()
     t0 = time.time()
-    metrics: Dict[str, float] = {}
-    tables: Dict[str, str] = {}
+    metrics: Dict = {}
+    tables = {name: os.path.join(out_dir, name)
+              for name in ("mentions", "triples", "ann_index", "ann_pairs",
+                           "nodes", "edges")}
+    ann_dir, pairs_dir = tables["ann_index"], tables["ann_pairs"]
+    # no judge: the ANN pairs are the merge edges (also when resuming)
+    judged_dir = tables["judged_pairs"] = (
+        os.path.join(out_dir, "judged_pairs")
+        if judge_llm_factory is not None else pairs_dir)
 
     # -- 1: partitioned LLM extract (resumes at partition granularity).
     # Concurrent groups are safe for the LLM pool path: its actors
@@ -170,43 +176,21 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
                            group_concurrency, metrics)
     metrics["sec_extract"] = round(time.time() - t, 2)
 
-    # -- 2: dedup → nodes_exact / edges_exact / triples ------------------
-    t = time.time()
-    if is_committed(out_dir, _STAGE, "dedup"):
-        metrics["skipped_dedup"] = 1
-    else:
-        dd: Dict[str, float] = {}
+    def dedup() -> Dict:
+        dd: Dict = {}
         _mentions_to_outputs(out_dir, cfg, do_canonicalize=False,
                              metrics=dd,
                              exact_as=("nodes_exact", "edges_exact"))
-        commit_manifest(out_dir, _STAGE, "dedup", dd)
-    metrics["sec_dedup"] = round(time.time() - t, 2)
-    tables["mentions"] = os.path.join(out_dir, "mentions")
-    tables["triples"] = os.path.join(out_dir, "triples")
+        return dd
 
-    # -- 3: embed nodes (client actor pool) → ANN shard files ------------
-    t = time.time()
-    ann_dir = os.path.join(out_dir, "ann_index")
-    if is_committed(out_dir, _STAGE, "embed"):
-        metrics["skipped_embed"] = 1
-    else:
+    def embed() -> Dict:
         from ..mock_llm import mock_embedding_client
         emb_client = embedder or mock_embedding_client(
             latency_sec=0.0, embedding_dim=embed_dim)
-        em: Dict[str, float] = {}
-        _embed_phase(out_dir, cfg, emb_client, embed_dim,
-                     embed_concurrency, ann_num_shards, em)
-        commit_manifest(out_dir, _STAGE, "embed", em)
-        metrics.update(em)
-    metrics["sec_embed"] = round(time.time() - t, 2)
-    tables["ann_index"] = ann_dir
+        return _embed_phase(out_dir, emb_client, embed_dim,
+                            embed_concurrency, ann_num_shards)
 
-    # -- 4: ANN self-join → candidate pairs ------------------------------
-    t = time.time()
-    pairs_dir = os.path.join(out_dir, "ann_pairs")
-    if is_committed(out_dir, _STAGE, "ann_link"):
-        metrics["skipped_ann_link"] = 1
-    else:
+    def ann_link() -> Dict:
         pool = AnnShardPool.load(ann_dir)        # actors read own shards
         # list only the shard files: the dir also holds manifest.json
         shard_files = [os.path.join(ann_dir, f)
@@ -218,45 +202,24 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
         n_pairs = atomic_write_parquet(pairs, pairs_dir,
                                        cfg.min_rows_per_file)
         del pool
-        commit_manifest(out_dir, _STAGE, "ann_link",
-                        {"n_candidate_pairs": n_pairs})
-        metrics["n_candidate_pairs"] = n_pairs
-    metrics["sec_ann_link"] = round(time.time() - t, 2)
-    tables["ann_pairs"] = pairs_dir
+        return {"n_candidate_pairs": n_pairs}
 
-    # -- 5: LLM pair judge ----------------------------------------------
-    t = time.time()
-    # no judge: the ANN pairs are the merge edges (also when resuming)
-    judged_dir = (os.path.join(out_dir, "judged_pairs")
-                  if judge_llm_factory is not None else pairs_dir)
-    if is_committed(out_dir, _STAGE, "judge"):
-        metrics["skipped_judge"] = 1
-    elif judge_llm_factory is None:
-        commit_manifest(out_dir, _STAGE, "judge", {"skipped": "no judge"})
-    else:
+    def judge() -> Dict:
+        if judge_llm_factory is None:
+            return {"judge": "none"}
         pairs = rd.read_parquet(pairs_dir)
         if pairs.count() == 0:
             os.makedirs(judged_dir, exist_ok=True)
-            commit_manifest(out_dir, _STAGE, "judge", {"n_approved": 0})
-        else:
-            nodes = rd.read_parquet(os.path.join(out_dir, "nodes_exact"),
-                                    columns=["entity_id", "name",
-                                             "entity_type", "description",
-                                             "aliases"])
-            approved = judge_match_edges(pairs, nodes, judge_llm_factory,
-                                         **(judge_opts or {}))
-            n_ok = atomic_write_parquet(approved, judged_dir,
-                                        cfg.min_rows_per_file)
-            commit_manifest(out_dir, _STAGE, "judge", {"n_approved": n_ok})
-            metrics["n_approved_pairs"] = n_ok
-    metrics["sec_judge"] = round(time.time() - t, 2)
-    tables["judged_pairs"] = judged_dir
+            return {"n_approved_pairs": 0}
+        nodes = rd.read_parquet(os.path.join(out_dir, "nodes_exact"),
+                                columns=["entity_id", "name", "entity_type",
+                                         "description", "aliases"])
+        approved = judge_match_edges(pairs, nodes, judge_llm_factory,
+                                     **(judge_opts or {}))
+        return {"n_approved_pairs": atomic_write_parquet(
+            approved, judged_dir, cfg.min_rows_per_file)}
 
-    # -- 6: union-find + canonical rewrite → nodes / edges ---------------
-    t = time.time()
-    if is_committed(out_dir, _STAGE, "canonicalize"):
-        metrics["skipped_canonicalize"] = 1
-    else:
+    def canonicalize() -> Dict:
         have_pairs = any(f.endswith(".parquet")
                          for f in os.listdir(judged_dir)) \
             if os.path.isdir(judged_dir) else False
@@ -273,21 +236,23 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=2) as tp:
             f_n = tp.submit(atomic_write_parquet, out_nodes,
-                            os.path.join(out_dir, "nodes"),
-                            cfg.min_rows_per_file)
+                            tables["nodes"], cfg.min_rows_per_file)
             f_e = tp.submit(atomic_write_parquet, out_edges,
-                            os.path.join(out_dir, "edges"),
-                            cfg.min_rows_per_file)
-            n_nodes, n_edges = f_n.result(), f_e.result()
-        commit_manifest(out_dir, _STAGE, "canonicalize", {
-            "n_nodes": n_nodes, "n_edges": n_edges,
-            "entities_merged": len(cmap)})
-        metrics["n_nodes"] = n_nodes
-        metrics["n_edges"] = n_edges
-        metrics["entities_merged_by_ann_judge"] = len(cmap)
-    metrics["sec_canonicalize"] = round(time.time() - t, 2)
-    tables["nodes"] = os.path.join(out_dir, "nodes")
-    tables["edges"] = os.path.join(out_dir, "edges")
+                            tables["edges"], cfg.min_rows_per_file)
+            return {"n_nodes": f_n.result(), "n_edges": f_e.result(),
+                    "entities_merged_by_ann_judge": len(cmap)}
+
+    # -- 2-6: each phase commits the metrics it returns under its function
+    # name; a committed phase is skipped and its metrics read back. Later
+    # phases overwrite the exact-dedup n_nodes / n_edges with the
+    # canonical counts.
+    for phase in (dedup, embed, ann_link, judge, canonicalize):
+        name, t = phase.__name__, time.time()
+        got, skipped = run_phase(out_dir, _STAGE, name, phase)
+        metrics.update(got)
+        if skipped:
+            metrics[f"skipped_{name}"] = 1
+        metrics[f"sec_{name}"] = round(time.time() - t, 2)
 
     metrics["wall_sec"] = time.time() - t0
     commit_manifest(out_dir, "finalize", "llm_e2e", metrics)

@@ -14,8 +14,11 @@ Commit protocol (BASELINE.json north_rule "resumable from checkpoint with
 per-partition lineage + metrics"): a partition's data is written to a temp
 directory and atomically renamed into place, then its manifest is written
 (write-to-temp + rename as well). A partition is *committed* iff its
-manifest exists and parses; resume skips committed partitions. Deterministic
-content-hash ids make re-execution of a half-written partition idempotent.
+manifest exists and parses; resume skips committed partitions and reads
+their metrics back from the manifest (``pipelines/kg_build.py::run_phase``),
+so a resumed run reports the same counts as the run that committed them.
+Deterministic content-hash ids make re-execution of a half-written
+partition idempotent.
 
 The reference has no checkpointing at all (SURVEY.md §4.1) — its terminal
 artifact is a single graph.json (agraph/builders/llm_builders.py:1280).
@@ -30,7 +33,7 @@ import sys
 import time
 import types
 import uuid
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 # Ray's write path probes `from fsspec.implementations.http import
 # HTTPFileSystem` on every path resolution, catching ModuleNotFoundError
@@ -53,27 +56,30 @@ except Exception:  # noqa: BLE001 — any import failure gets the stub
         pass
 
 
+_MANIFEST_KEYS = ("stage", "partition_id", "committed_at")
+
+
 def manifest_path(out_dir: str, stage: str, partition_id: Any) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}-{partition_id}.json")
 
 
-def is_committed(out_dir: str, stage: str, partition_id: Any) -> bool:
-    p = manifest_path(out_dir, stage, partition_id)
-    if not os.path.exists(p):
-        return False
+def read_manifest(out_dir: str, stage: str,
+                  partition_id: Any) -> Optional[Dict[str, Any]]:
+    """The metrics a committed partition recorded (without the
+    ``stage``/``partition_id``/``committed_at`` keys), or None when its
+    manifest is absent or torn, i.e. the partition is not committed."""
     try:
-        with open(p) as f:
-            return bool(json.load(f).get("committed_at"))
+        with open(manifest_path(out_dir, stage, partition_id)) as f:
+            doc = json.load(f)
     except (json.JSONDecodeError, OSError):
-        return False  # torn manifest = not committed
-
-
-def read_manifest(out_dir: str, stage: str, partition_id: Any) -> Optional[dict]:
-    p = manifest_path(out_dir, stage, partition_id)
-    if not os.path.exists(p):
         return None
-    with open(p) as f:
-        return json.load(f)
+    if not doc.get("committed_at"):
+        return None
+    return {k: v for k, v in doc.items() if k not in _MANIFEST_KEYS}
+
+
+def is_committed(out_dir: str, stage: str, partition_id: Any) -> bool:
+    return read_manifest(out_dir, stage, partition_id) is not None
 
 
 def commit_manifest(out_dir: str, stage: str, partition_id: Any,
@@ -139,16 +145,3 @@ def atomic_write_parquet(ds, final_dir: str,
     import pyarrow.dataset as pads
     return pads.dataset(final_dir, format="parquet").count_rows()
 
-
-def list_committed(out_dir: str, stage: str) -> List[str]:
-    mdir = os.path.join(out_dir, "manifests")
-    if not os.path.isdir(mdir):
-        return []
-    prefix = f"{stage}-"
-    out = []
-    for f in sorted(os.listdir(mdir)):
-        if f.startswith(prefix) and f.endswith(".json"):
-            pid = f[len(prefix):-5]
-            if is_committed(out_dir, stage, pid):
-                out.append(pid)
-    return out

@@ -565,16 +565,17 @@ def test_remove_equals_complement_build(ray_session, corpus_dir, tmp_path):
     _assert_graph_tables_equal(full, complement)
 
     # removing every remaining conversation leaves no mention rows: the
-    # graph tables come out empty, and nodes and edges keep their columns
-    # (triples is a Ray map over edges, which drops the schema of an
-    # empty block)
+    # graph tables come out empty and keep their columns
     from agraph_ray.stages.dedup import EDGES_SCHEMA, NODES_SCHEMA
     rest = sorted(set(rd.read_parquet(shards).unique("conv_id"))
                   - set(victims))
     res = remove_documents(full, rest, cfg)
     assert res.metrics["n_surviving_mentions"] == 0
     for table, cols in (("nodes", NODES_SCHEMA.names),
-                        ("edges", EDGES_SCHEMA.names), ("triples", [])):
+                        ("edges", EDGES_SCHEMA.names),
+                        ("triples", ["relation_id", "subj", "subj_type",
+                                     "pred", "obj", "obj_type", "confidence",
+                                     "source", "n_mentions"])):
         d = pads.dataset(res.tables[table], format="parquet")
         assert d.count_rows() == 0, table
         assert set(cols) <= set(d.schema.names), table

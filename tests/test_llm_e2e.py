@@ -106,14 +106,19 @@ def test_e2e_merges_variants(e2e_run):
 
 
 def test_e2e_phase_resume_skips_everything(e2e_run):
-    """A second run over the committed output skips every phase."""
-    _, files, out, _ = e2e_run
+    """A second run over the committed output skips every phase and
+    reads the committed phases' metrics back: it reports the same
+    counts as the first run."""
+    _, files, out, res1 = e2e_run
     res2 = _run(files, out)
     m = res2.metrics
     assert m["skipped"] == m["n_partitions"]
     for phase in ("dedup", "embed", "ann_link", "judge", "canonicalize"):
         assert m.get(f"skipped_{phase}") == 1, phase
     assert res2.metrics["wall_sec"] < 20
+    for key in ("n_nodes", "n_edges", "n_embedded", "n_candidate_pairs",
+                "n_approved_pairs", "entities_merged_by_ann_judge"):
+        assert m.get(key) == res1.metrics[key], key
 
 
 def test_e2e_single_phase_rerun(e2e_run):
@@ -175,14 +180,14 @@ KILL_DRIVER = textwrap.dedent("""
     real_commit = kgb.commit_manifest
     def chaos_commit(out_dir, stage, partition_id, metrics):
         real_commit(out_dir, stage, partition_id, metrics)
-        if (stage, str(partition_id)) == ("mentions", "1"):
-            os._exit({kill_exit})   # die right AFTER partition 1 commits
+        if (stage, str(partition_id)) == {kill_at!r}:
+            os._exit({kill_exit})   # die right AFTER that unit commits
     kgb.commit_manifest = chaos_commit
     e2e.build_kg_llm_e2e(
         {files!r}, {out!r}, KGConfig(hot_conv_turns=100, salt_span=64),
         engine_factory=mock_llm_engine_factory(latency_sec=0.01),
         embedder=mock_embedding_client(latency_sec=0.0, embedding_dim=64),
-        judge_llm_factory=lambda: mock_chat_client(latency_sec=0.01),
+        judge_llm_factory={judge},
         shards_per_partition=4, embed_dim=64, ann_sim_threshold=0.60,
         group_concurrency=1,
         llm_opts={{"num_actors": 4, "max_concurrent": 8,
@@ -247,25 +252,47 @@ def test_e2e_completes_on_small_cluster(e2e_run, cpus):
 
 
 @pytest.mark.slow
-def test_e2e_kill_mid_extract_then_resume(e2e_run):
-    """Kill the job after the second mentions partition commits; the
-    resumed run skips the committed partitions and produces final
-    tables identical to the uninterrupted run."""
+@pytest.mark.parametrize("with_judge", [True, False],
+                         ids=["judge", "no_judge"])
+def test_e2e_kill_mid_extract_then_resume(e2e_run, with_judge):
+    """Kill the job right after a unit commits: with a judge, the second
+    mentions partition; threshold-only, the ann_link phase. The resumed
+    run skips what was committed and produces final tables identical to
+    the uninterrupted run of the same mode."""
     base, files, out_ref, _ = e2e_run
-    out = os.path.join(base, "out_killed")
+    judge = ("lambda: mock_chat_client(latency_sec=0.01)" if with_judge
+             else "None")
+    kill_at = ("mentions", "1") if with_judge else ("llm_e2e", "ann_link")
+    out = os.path.join(base, f"out_killed_{kill_at[1]}")
     script = KILL_DRIVER.format(repo=REPO, files=list(files), out=out,
-                                kill_exit=KILL_EXIT)
+                                kill_exit=KILL_EXIT, kill_at=kill_at,
+                                judge=judge)
     env = {**os.environ, "RAY_ADDRESS": ""}
     p = subprocess.run([sys.executable, "-c", script], env=env,
                        capture_output=True, text=True, timeout=600)
     assert p.returncode == KILL_EXIT, p.stderr[-2000:]
-    # partitions 0 and 1 committed, nothing else
     committed = sorted(os.listdir(os.path.join(out, "manifests")))
-    assert "mentions-0.json" in committed and "mentions-1.json" in committed
-    assert not any(c.startswith("llm_e2e") for c in committed)
+    overrides = {"group_concurrency": 1}
+    if with_judge:
+        # partitions 0 and 1 committed, nothing else
+        assert "mentions-0.json" in committed
+        assert "mentions-1.json" in committed
+        assert not any(c.startswith("llm_e2e") for c in committed)
+    else:
+        # every partition and the phases up to ann_link committed
+        assert "llm_e2e-ann_link.json" in committed
+        assert "llm_e2e-judge.json" not in committed
+        overrides["judge_llm_factory"] = None
+        out_ref = os.path.join(base, "out_threshold_ref")
+        _run(files, out_ref, **overrides)
 
-    res = _run(files, out, group_concurrency=1)
-    assert res.metrics["skipped"] == 2
+    res = _run(files, out, **overrides)
+    if with_judge:
+        assert res.metrics["skipped"] == 2
+    else:
+        assert res.metrics["skipped"] == res.metrics["n_partitions"]
+        assert res.metrics.get("skipped_ann_link") == 1
+        assert "skipped_judge" not in res.metrics
     ref_nodes, ref_names, _ = _final_counts(out_ref)
     got_nodes, got_names, got_dangling = _final_counts(out)
     assert (got_nodes, got_names) == (ref_nodes, ref_names)
