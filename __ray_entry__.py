@@ -1444,8 +1444,8 @@ def _synth_raw_media(n: int = 48, seed: int = 9):
 
 def q_media_captions(sf_dir: str):
     """Vision-LLM captioning (the reference ImageProcessor surface,
-    image_processor.py:292-612) through the latency-bound actor pool
-    with the mock vision transport — which REALLY decodes the BMP
+    image_processor.py:292-612) through the latency-bound endpoint
+    pool with the mock vision transport — which REALLY decodes the BMP
     payloads and captions their true dimensions/colour. Rows-only:
     captions are model output; decode + caption semantics pinned in
     test_rawmedia.py."""

@@ -25,10 +25,32 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .rules import (ALWAYS_VALID_RELATION_TYPES, VALID_TYPE_COMBOS,
                     EntityRec, RuleExtractor, TripleRec, _entity_confidence)
+
+
+class FailureCount:
+    """Thread-safe count of endpoint calls given up on. Pickles by value
+    (a lock does not), so engines keep shipping into tasks."""
+
+    def __init__(self):
+        self.n = 0
+        self._lock = threading.Lock()
+
+    def bump(self) -> None:
+        with self._lock:
+            self.n += 1
+
+    def __getstate__(self):
+        return {"n": self.n}
+
+    def __setstate__(self, d):
+        self.n = d["n"]
+        self._lock = threading.Lock()
+
 
 # ---------------------------------------------------------------------------
 # type normalization (llm_entity_extractor.py:297-344, llm_relation_extractor.py:205-260)
@@ -245,6 +267,12 @@ class LLMExtractorEngine:
         self.llm = llm
         self.confidence_threshold = confidence_threshold
         self.source = source
+        self._failed = FailureCount()
+
+    @property
+    def failed_calls(self) -> int:
+        """LLM calls that raised (each turned into an empty result)."""
+        return self._failed.n
 
     # -- entities ----------------------------------------------------------
 
@@ -252,7 +280,10 @@ class LLMExtractorEngine:
         try:
             content = self.llm(build_entity_prompt(text))
         except Exception:
-            return []          # per-text isolation (llm_entity_extractor.py:184-186)
+            # per-text isolation (llm_entity_extractor.py:184-186),
+            # counted so the pool can report it
+            self._failed.bump()
+            return []
         out: List[EntityRec] = []
         for d in parse_llm_json(content, "entities"):
             name = str(d.get("name") or "").strip()
@@ -279,6 +310,7 @@ class LLMExtractorEngine:
         try:
             content = self.llm(build_relation_prompt(text, entities))
         except Exception:
+            self._failed.bump()
             return []
         ordered = [(e.name.lower(), e) for e in entities]
         out: List[TripleRec] = []
@@ -321,7 +353,7 @@ class LLMExtractorEngine:
 
 
 # ---------------------------------------------------------------------------
-# pairwise dedup judge (actor-pool stage over the candidate-pair table)
+# pairwise dedup judge (endpoint-pool stage over the candidate-pair table)
 # ---------------------------------------------------------------------------
 
 def parse_dedup_response(content: Optional[str], name1: str,
@@ -347,20 +379,24 @@ def judge_match_edges(pairs: "ray.data.Dataset", nodes: "ray.data.Dataset",
                       concurrency: int = 4,
                       batch_size: int = 16,
                       max_concurrent: int = 8,
-                      scheduling_strategy: "str | None" = None
+                      scheduling_strategy: "str | None" = None,
+                      pool=None, metrics: Optional[Dict] = None
                       ) -> "ray.data.Dataset":
     """Filter canonicalize match edges (src, dst, sim) through the LLM
     pairwise judge. Node attributes are broadcast once (``ray.put`` — the
     canonical node table is vocabulary-sized) and attached per batch; the
-    judge itself runs as an actor pool sized ``concurrency``, each actor
-    fanning its batch over ``max_concurrent`` threads and reserving no
-    CPU — the endpoint-bound pool policy of
-    ``stages.extract.extract_mentions_llm`` (one ~seconds API call per
-    pair; a serial per-actor loop would cap in-flight at the actor
-    count). Drop-in between ``link_entities`` and
-    ``connected_components``."""
+    judge itself runs on ``concurrency`` actors of the endpoint pool
+    (``state/endpoint_pool.py``: zero-CPU actors, SPREAD honoured), each
+    fanning its batch over ``max_concurrent`` threads (one ~seconds API
+    call per pair; a serial per-actor loop would cap in-flight at the
+    actor count). ``pool`` shares a caller's pool; without one, the call
+    runs on a pool scoped to it. ``metrics``, when given, gets the
+    judge's failed calls added under ``judge_failed_calls``. Drop-in
+    between ``link_entities`` and ``connected_components``."""
     import pyarrow as pa
     import ray
+
+    from ..state.endpoint_pool import pool_map
 
     attrs = {}
     for b in nodes.select_columns(
@@ -394,23 +430,20 @@ def judge_match_edges(pairs: "ray.data.Dataset", nodes: "ray.data.Dataset",
                                            pa.list_(pa.string()))))
         return out
 
-    # enough input blocks to occupy every actor (one task per block
-    # would idle the pool, as in extract_mentions_llm)
-    enriched = (pairs.repartition(2 * concurrency)
-                .map_batches(attach, batch_format="pyarrow"))
-    extra = ({"scheduling_strategy": scheduling_strategy}
-             if scheduling_strategy else {})   # SPREAD on real clusters
-    judged = enriched.map_batches(
-        LLMPairJudge,
-        fn_constructor_kwargs={"llm_factory": llm_factory,
-                               "max_concurrent": max_concurrent},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=0, **extra)
+    judged, failed = pool_map(
+        pool, pairs.map_batches(attach, batch_format="pyarrow"),
+        LLMPairJudge, {"llm_factory": llm_factory,
+                       "max_concurrent": max_concurrent},
+        batch_size=batch_size, num_actors=concurrency,
+        scheduling_strategy=scheduling_strategy)
+    if metrics is not None:
+        metrics["judge_failed_calls"] = \
+            metrics.get("judge_failed_calls", 0) + failed
     return judged.select_columns(list(pairs.schema().names))
 
 
 class LLMPairJudge:
-    """``map_batches`` actor-pool callable filtering candidate match edges.
+    """Endpoint-pool stage filtering candidate match edges.
 
     Input batch: the canonicalize pair table joined with both endpoints'
     node attributes (columns ``src, dst, name_a, name_b`` and optionally
@@ -427,6 +460,12 @@ class LLMPairJudge:
         from concurrent.futures import ThreadPoolExecutor
         self.llm = llm_factory()
         self.pool = ThreadPoolExecutor(max_workers=max_concurrent)
+        self._failed = FailureCount()
+
+    @property
+    def failed_calls(self) -> int:
+        """Judge calls that raised (each judged on the names alone)."""
+        return self._failed.n
 
     def _judge_one(self, r: dict) -> bool:
         e1 = {"name": r.get("name_a"), "entity_type": r.get("type_a"),
@@ -438,6 +477,7 @@ class LLMPairJudge:
         try:
             content = self.llm(build_dedup_prompt(e1, e2))
         except Exception:
+            self._failed.bump()   # judged on the names alone, counted
             content = None
         return parse_dedup_response(
             content, r.get("name_a") or "", r.get("name_b") or "")

@@ -310,7 +310,7 @@ _CAPTION_PROMPT = (
 
 
 class ImageCaptioner:
-    """Actor-pool stage for the vision-LLM ImageProcessor surface
+    """Endpoint-pool stage for the vision-LLM ImageProcessor surface
     (image_processor.py:292-612): each image row → a caption from a
     multimodal chat model, sent as the OpenAI-compatible content-parts
     message (text + base64 data-URL — :128-137). Latency-bound pool
@@ -356,16 +356,15 @@ def caption_images(ds: "ray.data.Dataset", client_factory,
                    concurrency: int = 4, batch_size: int = 8,
                    max_concurrent: int = 8) -> "ray.data.Dataset":
     """Vision captioning over a media table — the reference's
-    ImageProcessor as a latency-bound actor pool (in-flight =
-    concurrency x max_concurrent, decoupled from CPUs; zero-CPU actors
-    per the policy in ``stages.extract.extract_mentions_llm``)."""
-    return ds.map_batches(
-        ImageCaptioner,
-        fn_constructor_kwargs={"client_factory": client_factory,
-                               "prompt": prompt,
-                               "max_concurrent": max_concurrent},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=0)
+    ImageProcessor on ``concurrency`` actors of the endpoint pool
+    (in-flight = concurrency x max_concurrent, decoupled from CPUs;
+    zero-CPU actors, policy in ``state/endpoint_pool.py``), on a pool
+    scoped to the call."""
+    from ..state.endpoint_pool import pool_map
+    return pool_map(None, ds, ImageCaptioner,
+                    {"client_factory": client_factory, "prompt": prompt,
+                     "max_concurrent": max_concurrent},
+                    batch_size=batch_size, num_actors=concurrency)[0]
 
 
 def extract_media_metadata(ds: "ray.data.Dataset") -> "ray.data.Dataset":

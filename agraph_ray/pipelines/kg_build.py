@@ -37,7 +37,8 @@ from ..config import KGConfig
 from ..stages.canonicalize import canonicalize
 from ..stages.chunk import chunk_documents
 from ..stages.dedup import EDGES_SCHEMA, MENTION_COLS, dedup_both
-from ..stages.extract import extract_mentions, extract_mentions_llm
+from ..stages.extract import (MENTIONS_SCHEMA, extract_mentions,
+                              extract_mentions_llm)
 from ..stages.materialize import (atomic_write_parquet, commit_manifest,
                                   read_manifest)
 from ..stages.reassemble import reassemble
@@ -74,14 +75,17 @@ def run_phase(out_dir: str, stage: str, pid: Any,
 
 
 def _run_extract(docs, cfg, engine=None, engine_factory=None,
-                 llm_opts: Optional[Dict] = None):
+                 llm_opts: Optional[Dict] = None, pool=None,
+                 metrics: Optional[Dict] = None):
     """Dispatch to the right extraction regime: ``engine_factory`` set →
-    the latency-bound actor-pool path (:func:`extract_mentions_llm`,
-    in-flight requests decoupled from CPU count); else the CPU-bound
+    the latency-bound endpoint-pool path (:func:`extract_mentions_llm`,
+    in-flight requests decoupled from CPU count; on ``pool`` when given,
+    with its failed calls added to ``metrics``); else the CPU-bound
     stateless-task path with the optional pre-built ``engine``."""
     if engine_factory is not None:
         return extract_mentions_llm(docs, cfg,
                                     engine_factory=engine_factory,
+                                    pool=pool, metrics=metrics,
                                     **(llm_opts or {}))
     return extract_mentions(docs, cfg, engine=engine)
 
@@ -287,12 +291,18 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
                            engine=None, engine_factory=None,
                            llm_opts: Optional[Dict] = None,
                            group_concurrency: Optional[int] = None,
-                           metrics: Optional[Dict] = None) -> None:
+                           metrics: Optional[Dict] = None,
+                           pool=None) -> None:
     """The checkpointed per-partition extract loop shared by
     :func:`build_kg_resumable` and the composed LLM-path pipeline
     (pipelines/llm_e2e.py): each partition group runs through
     :func:`run_phase`, committing a ``mentions`` Parquet partition +
-    lineage manifest; committed partitions are skipped on restart."""
+    lineage manifest; committed partitions are skipped on restart.
+    A 0-row partition is written as a 0-row file with the mentions
+    schema, so the dedup scan always finds its columns. On the LLM
+    path (``engine_factory``) the partitions run on ``pool`` when given,
+    each manifest records its ``extract_failed_calls``, and ``metrics``
+    gets their sum, committed partitions included."""
     from concurrent.futures import ThreadPoolExecutor
 
     import ray as _ray
@@ -312,34 +322,38 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
                                 target_block_bytes=8 << 20)
         n_turns = ds.count()
         docs = reassemble(ds, cfg)
-        mentions = _run_extract(docs, cfg, engine, engine_factory, llm_opts)
+        got: Dict[str, Any] = {}
+        mentions = _run_extract(docs, cfg, engine, engine_factory, llm_opts,
+                                pool, got)
         part_dir = os.path.join(out_dir, "mentions", f"part={pid}")
         n_rows = atomic_write_parquet(mentions, part_dir,
                                       cfg.min_rows_per_file)
-        part = pads.dataset(part_dir, format="parquet")
-        # a 0-row partition writes an empty dir (valid artifact) whose
-        # schema has no columns — filtering it would raise
-        n_ent = (part.count_rows(filter=pc.field("kind") == "entity")
-                 if "kind" in part.schema.names else 0)
+        if n_rows == 0:   # a 0-row write leaves a dir with no schema
+            atomic_write_parquet(MENTIONS_SCHEMA.empty_table(), part_dir)
+        n_ent = pads.dataset(part_dir, format="parquet").count_rows(
+            filter=pc.field("kind") == "entity")
         return {"input_files": files, "input_rows": n_turns,
                 "output_rows": n_rows, "entities": n_ent,
-                "triples": n_rows - n_ent,
+                "triples": n_rows - n_ent, **got,
                 "duration_sec": time.time() - part_t0}
 
-    def run(pf: Tuple[int, List[str]]) -> bool:
+    def run(pf: Tuple[int, List[str]]) -> Tuple[Dict[str, Any], bool]:
         return run_phase(out_dir, "mentions", pf[0],
-                         lambda: run_group(*pf))[1]
+                         lambda: run_group(*pf))
 
     if group_concurrency <= 1 or len(groups) <= 1:
-        skipped = [run(pf) for pf in enumerate(groups)]
+        done = [run(pf) for pf in enumerate(groups)]
     else:
-        with ThreadPoolExecutor(max_workers=group_concurrency) as pool:
+        with ThreadPoolExecutor(max_workers=group_concurrency) as tp:
             # list() so the first exception propagates (fail the build,
             # committed partitions stay committed — that's the resume)
-            skipped = list(pool.map(run, enumerate(groups)))
+            done = list(tp.map(run, enumerate(groups)))
     if metrics is not None:
         metrics["n_partitions"] = len(groups)
-        metrics["skipped"] = sum(skipped)
+        metrics["skipped"] = sum(skipped for _, skipped in done)
+        if engine_factory is not None:
+            metrics["extract_failed_calls"] = sum(
+                got.get("extract_failed_calls", 0) for got, _ in done)
 
 
 def build_kg_resumable(shard_paths: Sequence[str], out_dir: str,

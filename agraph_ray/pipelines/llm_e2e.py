@@ -8,16 +8,29 @@ each committing a Parquet artifact + manifest so a killed job restarts
 from the last committed phase. Every commit/skip goes through
 ``kg_build.run_phase``: phases 2-6 commit ``manifests/llm_e2e-<phase>.json``
 holding the metrics they return, and a resumed run reads a committed
-phase's metrics back, so it reports the same counts as the first run:
+phase's metrics back, so it reports the same counts as the first run.
+The judge and canonicalize manifests are keyed by judge mode
+(``llm_e2e-judge-llm.json`` / ``llm_e2e-judge-none.json``, likewise
+canonicalize), so resuming a threshold-only directory with a judge
+re-runs both instead of keeping the threshold-only graph.
 
-  1. ``mentions``      — per-partition LLM extract (actor pool,
-                         in-flight decoupled from CPU count), the same
-                         checkpoint regime as ``build_kg_resumable``
+The endpoint-bound phases (1, 3, 5) share ONE endpoint pool
+(``state/endpoint_pool.py``: zero-CPU actors that keep their stages).
+It starts its first actor at the first endpoint phase that runs, so a
+resume with those phases committed starts none, and it is closed when
+the run returns or raises. Each phase keeps its own in-flight bound
+(its actor count x ``max_concurrent``) on the shared actors. Failed
+endpoint calls are counted, not hidden: the mention partitions commit
+``extract_failed_calls`` and the judge ``judge_failed_calls``.
+
+  1. ``mentions``      — per-partition LLM extract (in-flight decoupled
+                         from CPU count), the same checkpoint regime as
+                         ``build_kg_resumable``
   2. ``dedup``         — exact-id node/edge dedup → nodes_exact /
                          edges_exact / triples
   3. ``embed``         — canonical entity rendering → embedding column
                          via the batch embedding CLIENT (retry/backoff/
-                         zero-vector fallback) in an actor pool; output
+                         zero-vector fallback) on the run's pool; output
                          doubles as the ANN index shards (id, vec)
   4. ``ann_link``      — disk-backed ANN shard actors (each loads its
                          own shard file zero-copy); every node's top-k
@@ -26,7 +39,8 @@ phase's metrics back, so it reports the same counts as the first run:
                          the embedding table — no vector transits the
                          driver.
   5. ``judge``         — candidate pairs through the latency-bound LLM
-                         pair-judge pool (extract/llm.py:judge_match_edges)
+                         pair judge (extract/llm.py:judge_match_edges)
+                         on the run's pool
   6. ``canonicalize``  — union-find over approved pairs →
                          apply_canonical_map rewrite → nodes / edges
 
@@ -53,27 +67,22 @@ from .kg_build import (KGBuildResult, _mentions_to_outputs,
 _STAGE = "llm_e2e"
 
 
-def _embed_phase(out_dir: str, embedder, embed_dim: int,
-                 concurrency: Optional[int], num_shards: int) -> Dict:
-    """nodes_exact → (id, vec) ANN shard files + manifest.json."""
+def _embed_phase(out_dir: str, embedder, embed_dim: int, num_shards: int,
+                 pool) -> Dict:
+    """nodes_exact → (id, vec) ANN shard files + manifest.json, embedded
+    on ``pool``'s actors."""
     import pyarrow as pa
-    import pyarrow.dataset as pads
     import ray.data as rd
 
-    from ..stages.embed import EMBED_BATCH_ROWS, embed_dataset
+    from ..stages.embed import embed_dataset
 
     ann_dir = os.path.join(out_dir, "ann_index")
-    nodes_dir = os.path.join(out_dir, "nodes_exact")
-    if concurrency is None:
-        # one actor per embed batch, at most 4: the client actors reserve
-        # no CPU, so the pool is sized by its input, not the cluster
-        n_nodes = pads.dataset(nodes_dir, format="parquet").count_rows()
-        concurrency = max(1, min(4, -(-n_nodes // EMBED_BATCH_ROWS)))
     nodes = rd.read_parquet(
-        nodes_dir, columns=["entity_id", "name", "description", "aliases",
-                            "entity_type"])
+        os.path.join(out_dir, "nodes_exact"),
+        columns=["entity_id", "name", "description", "aliases",
+                 "entity_type"])
     emb = embed_dataset(nodes, render="entity", dim=embed_dim,
-                        concurrency=concurrency, embedder=embedder)
+                        embedder=embedder, pool=pool)
     shards = emb.map_batches(
         lambda t: pa.Table.from_arrays(
             [t["entity_id"].combine_chunks(),
@@ -136,7 +145,6 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
                      group_concurrency: Optional[int] = None,
                      llm_opts: Optional[Dict] = None,
                      embed_dim: int = 64,
-                     embed_concurrency: Optional[int] = None,
                      ann_num_shards: int = 4,
                      ann_top_k: int = 5,
                      ann_sim_threshold: float = 0.90,
@@ -145,16 +153,24 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
     ``embedder`` / ``judge_llm_factory`` take the production clients;
     the mock-latency transports (mock_llm.py) drive the identical code
     path offline. ``judge_llm_factory=None`` skips phase 5 (every ANN
-    candidate is accepted — threshold-only merge)."""
+    candidate is accepted — threshold-only merge). The SPREAD
+    ``scheduling_strategy`` of ``llm_opts`` or ``judge_opts`` places the
+    run's endpoint pool."""
     import ray.data as rd
 
     from ..extract.llm import judge_match_edges
     from ..stages.canonicalize import apply_canonical_map
     from ..state.ann import AnnShardPool
+    from ..state.endpoint_pool import EndpointPool
     from ..state.unionfind import (components_to_canonical_map,
                                    connected_components)
 
     cfg = cfg or KGConfig()
+    # no actor starts until an endpoint phase runs; `with pool` below
+    # kills the started ones when the run returns or raises
+    pool = EndpointPool((llm_opts or {}).get("scheduling_strategy")
+                        or (judge_opts or {}).get("scheduling_strategy"))
+    judge_mode = "none" if judge_llm_factory is None else "llm"
     t0 = time.time()
     metrics: Dict = {}
     tables = {name: os.path.join(out_dir, name)
@@ -165,16 +181,6 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
     judged_dir = tables["judged_pairs"] = (
         os.path.join(out_dir, "judged_pairs")
         if judge_llm_factory is not None else pairs_dir)
-
-    # -- 1: partitioned LLM extract (resumes at partition granularity).
-    # Concurrent groups are safe for the LLM pool path: its actors
-    # reserve no CPU, so coexisting pools cannot starve the upstream
-    # maps, and overlapping groups hides per-pool spin-up.
-    t = time.time()
-    run_mention_partitions(shard_paths, out_dir, cfg, shards_per_partition,
-                           None, engine_factory, llm_opts,
-                           group_concurrency, metrics)
-    metrics["sec_extract"] = round(time.time() - t, 2)
 
     def dedup() -> Dict:
         dd: Dict = {}
@@ -187,37 +193,45 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
         from ..mock_llm import mock_embedding_client
         emb_client = embedder or mock_embedding_client(
             latency_sec=0.0, embedding_dim=embed_dim)
-        return _embed_phase(out_dir, emb_client, embed_dim,
-                            embed_concurrency, ann_num_shards)
+        return _embed_phase(out_dir, emb_client, embed_dim, ann_num_shards,
+                            pool)
 
     def ann_link() -> Dict:
-        pool = AnnShardPool.load(ann_dir)        # actors read own shards
         # list only the shard files: the dir also holds manifest.json
         shard_files = [os.path.join(ann_dir, f)
                        for f in sorted(os.listdir(ann_dir))
                        if f.endswith(".parquet")]
+        if not shard_files:           # no node was embedded: no pairs
+            import pyarrow as pa
+            atomic_write_parquet(pa.schema([
+                ("src", pa.string()), ("dst", pa.string()),
+                ("sim", pa.float64())]).empty_table(), pairs_dir)
+            return {"n_candidate_pairs": 0}
+        shards = AnnShardPool.load(ann_dir)      # actors read own shards
         emb_ds = rd.read_parquet(shard_files, columns=["id", "vec"])
-        pairs = ann_candidate_pairs(emb_ds, pool.shards, ann_top_k,
+        pairs = ann_candidate_pairs(emb_ds, shards.shards, ann_top_k,
                                     ann_sim_threshold)
         n_pairs = atomic_write_parquet(pairs, pairs_dir,
                                        cfg.min_rows_per_file)
-        del pool
+        del shards
         return {"n_candidate_pairs": n_pairs}
 
     def judge() -> Dict:
         if judge_llm_factory is None:
             return {"judge": "none"}
         pairs = rd.read_parquet(pairs_dir)
+        got = {"judge_failed_calls": 0}
         if pairs.count() == 0:
             os.makedirs(judged_dir, exist_ok=True)
-            return {"n_approved_pairs": 0}
+            return {"n_approved_pairs": 0, **got}
         nodes = rd.read_parquet(os.path.join(out_dir, "nodes_exact"),
                                 columns=["entity_id", "name", "entity_type",
                                          "description", "aliases"])
         approved = judge_match_edges(pairs, nodes, judge_llm_factory,
+                                     pool=pool, metrics=got,
                                      **(judge_opts or {}))
         return {"n_approved_pairs": atomic_write_parquet(
-            approved, judged_dir, cfg.min_rows_per_file)}
+            approved, judged_dir, cfg.min_rows_per_file), **got}
 
     def canonicalize() -> Dict:
         have_pairs = any(f.endswith(".parquet")
@@ -242,17 +256,31 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
             return {"n_nodes": f_n.result(), "n_edges": f_e.result(),
                     "entities_merged_by_ann_judge": len(cmap)}
 
-    # -- 2-6: each phase commits the metrics it returns under its function
-    # name; a committed phase is skipped and its metrics read back. Later
-    # phases overwrite the exact-dedup n_nodes / n_edges with the
-    # canonical counts.
-    for phase in (dedup, embed, ann_link, judge, canonicalize):
-        name, t = phase.__name__, time.time()
-        got, skipped = run_phase(out_dir, _STAGE, name, phase)
-        metrics.update(got)
-        if skipped:
-            metrics[f"skipped_{name}"] = 1
-        metrics[f"sec_{name}"] = round(time.time() - t, 2)
+    with pool:
+        # -- 1: partitioned LLM extract (resumes at partition
+        # granularity). Concurrent groups each take their own actors
+        # from the pool (it grows to their sum); the actors reserve no
+        # CPU, so they cannot starve the upstream maps.
+        t = time.time()
+        run_mention_partitions(shard_paths, out_dir, cfg,
+                               shards_per_partition, None, engine_factory,
+                               llm_opts, group_concurrency, metrics, pool)
+        metrics["sec_extract"] = round(time.time() - t, 2)
+
+        # -- 2-6: each phase commits the metrics it returns under its
+        # function name, judge and canonicalize also under the judge mode;
+        # a committed phase is skipped and its metrics read back. Later
+        # phases overwrite the exact-dedup n_nodes / n_edges with the
+        # canonical counts.
+        for phase in (dedup, embed, ann_link, judge, canonicalize):
+            name, t = phase.__name__, time.time()
+            pid = (f"{name}-{judge_mode}"
+                   if phase in (judge, canonicalize) else name)
+            got, skipped = run_phase(out_dir, _STAGE, pid, phase)
+            metrics.update(got)
+            if skipped:
+                metrics[f"skipped_{name}"] = 1
+            metrics[f"sec_{name}"] = round(time.time() - t, 2)
 
     metrics["wall_sec"] = time.time() - t0
     commit_manifest(out_dir, "finalize", "llm_e2e", metrics)

@@ -9,7 +9,8 @@ OpenAIEmbedding, graph_embedding.py:395-661); this environment ships
 unit vectors) with the same actor contract, so the full embed → ANN →
 retrieval path is real and testable without network.
 
-Scale shape: ``map_batches`` over an actor pool; the embedder builds its
+Scale shape: ``map_batches`` tasks, or the endpoint pool
+(``state/endpoint_pool.py``) for an API client; the embedder builds its
 state once per actor in ``__init__``; embeddings are emitted as a
 ``list<float32>`` column (zero-copy Arrow FixedSizeList would also work but
 plain list keeps parquet round-trips simple).
@@ -87,9 +88,10 @@ class HashEmbedder:
 
 
 class EmbedStage:
-    """Actor-pool callable: renders ``text_from`` columns and appends an
-    ``embedding`` list<float32> column. ``render`` picks the canonical
-    rendering ("entity" | "relation" | "chunk" | "raw")."""
+    """Batch callable (stateless task or endpoint-pool stage): renders
+    ``text_from`` columns and appends an ``embedding`` list<float32>
+    column. ``render`` picks the canonical rendering ("entity" |
+    "relation" | "chunk" | "raw")."""
 
     def __init__(self, render: str = "raw", dim: int = 64,
                  text_col: str = "text", embedder=None):
@@ -128,7 +130,7 @@ def embed_dataset(ds: "ray.data.Dataset", render: str = "raw",
                   dim: int = 64, text_col: str = "text",
                   batch_size: Optional[int] = None,
                   concurrency: Optional[int] = None,
-                  embedder=None) -> "ray.data.Dataset":
+                  embedder=None, pool=None) -> "ray.data.Dataset":
     """Append an ``embedding`` column.
 
     The Ray batch size is a TASK-granularity knob, not the embedding-API
@@ -137,22 +139,23 @@ def embed_dataset(ds: "ray.data.Dataset", render: str = "raw",
     slices its request batches there) — using 64 as the Ray batch size
     spawned ~3,000 tasks for a 200k-edge table and task overhead dwarfed
     the compute (observed 26 s -> 3 s with 4096). The deterministic
-    stand-in runs as elastic stateless tasks; pass ``concurrency`` to get
-    an actor pool, the right shape for a real API-client embedder
-    (connection + rate-limiter state per actor; zero-CPU actors per the
-    endpoint-bound pool policy in
-    ``stages.extract.extract_mentions_llm``). ``embedder`` swaps the
+    stand-in runs as elastic stateless tasks; pass ``concurrency`` (or a
+    caller's ``pool``) to run on the endpoint pool instead, the right
+    shape for a real API-client embedder (connection + rate-limiter
+    state per actor; zero-CPU actors, policy in
+    ``state/endpoint_pool.py``). Without ``pool`` that call gets a pool
+    scoped to it; with one and no ``concurrency``, it keeps as many
+    batches in flight as the pool has actors. ``embedder`` swaps the
     deterministic HashEmbedder for a real client (e.g.
     ``clients.OpenAIEmbeddingClient.from_env()`` — picklable config-only,
     so each actor reconstructs its own connections)."""
     batch_size = batch_size or EMBED_BATCH_ROWS
-    if concurrency:
-        return ds.map_batches(
-            EmbedStage, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_kwargs={"render": render, "dim": dim,
-                                   "text_col": text_col,
-                                   "embedder": embedder},
-            concurrency=concurrency, num_cpus=0)
+    if concurrency or pool is not None:
+        from ..state.endpoint_pool import pool_map
+        return pool_map(pool, ds, EmbedStage,
+                        {"render": render, "dim": dim, "text_col": text_col,
+                         "embedder": embedder},
+                        batch_size=batch_size, num_actors=concurrency)[0]
     stage = EmbedStage(render=render, dim=dim, text_col=text_col,
                        embedder=embedder)
     return ds.map_batches(stage, batch_format="pyarrow",

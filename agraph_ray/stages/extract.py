@@ -279,23 +279,23 @@ def extract_mentions(docs: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
 
 
 # ---------------------------------------------------------------------------
-# latency-bound (LLM API) extraction — actor pool with in-actor fan-out
+# latency-bound (LLM API) extraction — endpoint pool with in-actor fan-out
 # ---------------------------------------------------------------------------
 
 
 class LLMExtractStage(ExtractStage):
-    """Actor-pool callable for LATENCY-bound engines (the production
+    """Endpoint-pool stage for LATENCY-bound engines (the production
     LLM extractor: two ~seconds API calls per document,
     reference ``llm_builders.py:216-250``'s asyncio-semaphore regime).
 
     The CPU-bound stateless-task path is wrong here: a task blocked on an
     HTTP round-trip still holds its whole CPU, capping in-flight requests
-    at num_cpus. Instead each ACTOR fans its batch out over an internal
-    thread pool (``max_concurrent`` in-flight requests per actor — the
-    reference's semaphore bound, per actor instead of per process), and
-    the actor reserves no CPU (policy in :func:`extract_mentions_llm`),
-    so total in-flight = actors x max_concurrent is independent of the
-    core count.
+    at num_cpus. Instead each actor of the zero-CPU endpoint pool
+    (``state/endpoint_pool.py``, which states the policy) fans its batch
+    out over an internal thread pool (``max_concurrent`` in-flight
+    requests per actor — the reference's semaphore bound, per actor
+    instead of per process), so total in-flight = actors x
+    max_concurrent is independent of the core count.
 
     Engine construction happens once per actor in ``__init__`` via
     ``engine_factory`` (a zero-arg callable — keeps unpicklable client
@@ -308,6 +308,12 @@ class LLMExtractStage(ExtractStage):
         self.engine = engine_factory()
         self.pool = ThreadPoolExecutor(max_workers=max_concurrent)
 
+    @property
+    def failed_calls(self) -> int:
+        """Endpoint calls the engine gave up on (0 for engines that do
+        not count them)."""
+        return getattr(self.engine, "failed_calls", 0)
+
     def _extract_rows(self, texts):
         # per-text isolation lives in the engine (extract() returns
         # ([], []) on a failed call); thread pool preserves input order
@@ -319,52 +325,41 @@ def extract_mentions_llm(docs: "ray.data.Dataset", cfg=None, *,
                          engine_factory, num_actors: int = 0,
                          max_concurrent: int = 8,
                          batch_size: int = 32,
-                         scheduling_strategy: "str | None" = None
+                         scheduling_strategy: "str | None" = None,
+                         pool=None, metrics: "dict | None" = None
                          ) -> "ray.data.Dataset":
-    """documents → mentions through a latency-bound LLM engine.
-
-    Endpoint-bound pool policy (shared by every pool that waits on an
-    API: this one, ``extract.llm.judge_match_edges``,
-    ``ops.multimodal.caption_images`` and ``stages.embed.embed_dataset``'s
-    actor branch): the actors are created with ``num_cpus=0``. Their
-    per-request CPU work (prompt build + JSON parse) is ~ms against
-    ~seconds of latency, so the actor count bounds IN-FLIGHT REQUESTS,
-    not CPU use, and the endpoint's rate limit — not the cluster CPU
-    count — should pick it. Reserving any CPU for them only takes slots
-    from the pipeline's own read/repartition/write tasks: at 1 logical
-    CPU even a 0.01-CPU actor leaves 0.99 CPU, and no default 1-CPU task
-    can ever schedule (the pipeline hangs).
+    """documents → mentions through a latency-bound LLM engine, on the
+    endpoint pool (``state/endpoint_pool.py``: zero-CPU actors, SPREAD
+    honoured). ``pool`` shares a caller's pool (its own scheduling
+    strategy applies); without one, the call runs on a pool scoped to
+    it. The returned Dataset is materialized; ``metrics``, when given,
+    gets the engine's failed calls added under ``extract_failed_calls``.
 
     Pool sizing: in-flight requests = ``num_actors x max_concurrent``.
-    ``batch_size`` bounds per-actor in-memory results, and with
-    ``max_concurrent`` in-flight per actor a batch drains in
-    ``ceil(batch_size/max_concurrent) x 2 x latency`` — keep it a small
-    multiple of ``max_concurrent`` so stragglers don't idle the pool.
-    Default: 2 x cpus actors x 8 in-flight ≈ 512 concurrent requests at
-    32 CPUs — measured in ``bench.py --llm-sweep``.
+    ``batch_size`` rows go to an actor at a time: it bounds per-actor
+    in-memory results, and with ``max_concurrent`` in-flight per actor a
+    batch drains in ``ceil(batch_size/max_concurrent) x 2 x latency`` —
+    keep it a small multiple of ``max_concurrent`` so stragglers don't
+    idle the pool. Default: 2 x cpus actors x 8 in-flight ≈ 512
+    concurrent requests at 32 CPUs — measured in ``bench.py
+    --llm-sweep``.
     """
     import ray
+
+    from ..state.endpoint_pool import pool_map
 
     cfg = cfg or KGConfig()
     if not num_actors:
         cpus = int(ray.cluster_resources().get("CPU", 4)) \
             if ray.is_initialized() else 4
         num_actors = max(2, 2 * cpus)
-    # The pool can run at most one task per INPUT BLOCK — a documents
-    # table read into ~2xCPU blocks would cap concurrent tasks far below
-    # num_actors (observed: 8 blocks idling a 128-actor pool). Re-split
-    # to ~2 tasks per actor; the doc table is tiny next to the API cost,
-    # so the extra exchange is noise even at full scale.
-    docs = docs.repartition(2 * num_actors)
-    fn_kwargs = {"cfg": cfg, "engine_factory": engine_factory,
-                 "max_concurrent": max_concurrent}
-    # scheduling_strategy="SPREAD" distributes pool actors across nodes
-    # on a real cluster (per-node NIC/connection-pool limits bound a
-    # latency-pool's throughput, not CPUs — packing 128 actors on one
-    # node serializes on its sockets). No-op single-node.
-    extra = ({"scheduling_strategy": scheduling_strategy}
-             if scheduling_strategy else {})
-    return docs.map_batches(
-        LLMExtractStage, fn_constructor_kwargs=fn_kwargs,
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=num_actors, num_cpus=0, **extra)
+    out, failed = pool_map(
+        pool, docs, LLMExtractStage,
+        {"cfg": cfg, "engine_factory": engine_factory,
+         "max_concurrent": max_concurrent},
+        batch_size=batch_size, num_actors=num_actors,
+        scheduling_strategy=scheduling_strategy)
+    if metrics is not None:
+        metrics["extract_failed_calls"] = \
+            metrics.get("extract_failed_calls", 0) + failed
+    return out

@@ -114,12 +114,13 @@ def run_bench() -> dict:
         e2e_out = out + "_e2e"
         shutil.rmtree(e2e_out, ignore_errors=True)
         t0 = time.time()
-        # pool shape: NUM_CPUS actors per group x 4 overlapped groups —
-        # at bench-sized partitions each group's work is pool-spin-up
-        # bound, so overlap + right-sized pools beat one big serial
-        # pool (measured 9.3 s vs 17.5 s extract at sf0.1/32; the
-        # pool actors reserve no CPU, so the groups can't jointly
-        # over-reserve)
+        # pool shape: NUM_CPUS in-flight batches per group x 4
+        # overlapped groups, all on the run's one endpoint pool (it
+        # grows to the groups' sum; its actors reserve no CPU, so the
+        # groups can't jointly over-reserve). Overlap hides each
+        # group's read/reassemble/write between its LLM batches
+        # (measured 9.3 s vs 17.5 s extract at sf0.1/32 when each group
+        # still started its own pool)
         build_kg_llm_e2e(
             sorted(_glob.glob(os.path.join(inp, "*.parquet"))), e2e_out,
             cfg,

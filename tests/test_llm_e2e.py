@@ -6,6 +6,7 @@ transports (identical client/parse/retry code, no network).
 """
 
 import glob
+import json
 import os
 import signal
 import subprocess
@@ -126,7 +127,8 @@ def test_e2e_single_phase_rerun(e2e_run):
     reproduces identical final tables (deterministic ids)."""
     _, files, out, _ = e2e_run
     before = _final_counts(out)
-    os.remove(os.path.join(out, "manifests", "llm_e2e-canonicalize.json"))
+    os.remove(os.path.join(out, "manifests",
+                           "llm_e2e-canonicalize-llm.json"))
     res = _run(files, out)
     assert "skipped_canonicalize" not in res.metrics
     assert res.metrics.get("skipped_judge") == 1
@@ -142,7 +144,8 @@ def test_e2e_threshold_only_canonicalize_rerun(e2e_run):
     res = _run(files, out, judge_llm_factory=None)
     assert res.metrics["entities_merged_by_ann_judge"] > 0
     before = _final_counts(out)
-    os.remove(os.path.join(out, "manifests", "llm_e2e-canonicalize.json"))
+    os.remove(os.path.join(out, "manifests",
+                           "llm_e2e-canonicalize-none.json"))
     res = _run(files, out, judge_llm_factory=None)
     assert "skipped_canonicalize" not in res.metrics
     assert res.metrics.get("skipped_judge") == 1
@@ -161,6 +164,172 @@ def test_e2e_partition_layout_invariance(e2e_run):
     got = _final_counts(out2)
     assert got[0] == ref[0] and got[1] == ref[1]
     assert got[2] == 0
+
+
+def test_e2e_judged_resume_over_threshold_only(e2e_run):
+    """The judge and canonicalize manifests are keyed by judge mode: a
+    threshold-only output directory resumed with a judge re-runs both
+    phases and ends with the fresh judged graph, not the threshold-only
+    one (it kept 25 nodes against the judged run's 33)."""
+    base, files, out_ref, res_ref = e2e_run
+    out = os.path.join(base, "out_threshold_then_judged")
+    thr = _run(files, out, judge_llm_factory=None)
+    assert thr.metrics["n_nodes"] != res_ref.metrics["n_nodes"]
+    res = _run(files, out)
+    assert res.metrics.get("skipped_ann_link") == 1
+    assert "skipped_judge" not in res.metrics
+    assert "skipped_canonicalize" not in res.metrics
+    assert res.metrics["n_nodes"] == res_ref.metrics["n_nodes"]
+    assert _final_counts(out) == _final_counts(out_ref)
+
+
+def _busy_chat_factory():
+    """Zero-arg factory of a chat client whose every call gets a 503."""
+    def factory():
+        from agraph_ray.clients import (ClientConfig, OpenAICompatClient,
+                                        TransportError)
+
+        def busy(url, payload, headers, timeout):
+            raise TransportError("503: always busy", status=503)
+        return OpenAICompatClient(
+            ClientConfig(max_retries=1, backoff_base=0.0, backoff_cap=0.0),
+            transport=busy)
+    return factory
+
+
+def _busy_engine_factory():
+    chat = _busy_chat_factory()
+
+    def factory():
+        from agraph_ray.extract.llm import LLMExtractorEngine
+        return LLMExtractorEngine(chat())
+    return factory
+
+
+@pytest.mark.parametrize("down", ["all", "judge"])
+def test_e2e_endpoint_outage_counts_failed_calls(e2e_run, down):
+    """An always-503 endpoint is reported, not hidden: the run returns,
+    and the mention partitions and the judge commit their failed calls.
+    With every call down the graph is empty (dedup raised a KeyError on
+    the schemaless empty mentions); with the judge down each candidate
+    pair counts one failed call and is judged on its names."""
+    base, files, _, _ = e2e_run
+    out = os.path.join(base, f"out_outage_{down}")
+    kw = {"judge_llm_factory": _busy_chat_factory()}
+    if down == "all":
+        kw["engine_factory"] = _busy_engine_factory()
+    m = _run(files, out, **kw).metrics
+    parts = [json.load(open(f)) for f in
+             glob.glob(os.path.join(out, "manifests", "mentions-*.json"))]
+    assert m["extract_failed_calls"] == sum(
+        p["extract_failed_calls"] for p in parts)
+    judged = json.load(open(os.path.join(out, "manifests",
+                                         "llm_e2e-judge-llm.json")))
+    assert judged["judge_failed_calls"] == m["judge_failed_calls"]
+    if down == "all":
+        assert m["extract_failed_calls"] > 0
+        assert (m["n_nodes"], m["n_edges"], m["n_candidate_pairs"]) == \
+            (0, 0, 0)
+        assert m["judge_failed_calls"] == 0
+    else:
+        assert m["extract_failed_calls"] == 0
+        assert m["judge_failed_calls"] == m["n_candidate_pairs"] > 0
+
+
+def _recording_clients(log_dir: str):
+    """Mock extract, judge and embedding clients that touch
+    ``<log_dir>/<tag>-<pid>`` on every call."""
+    def touch(tag):
+        import os
+        open(os.path.join(log_dir, f"{tag}-{os.getpid()}"), "a").close()
+
+    def engine_factory():
+        from agraph_ray.extract.llm import LLMExtractorEngine
+        from agraph_ray.mock_llm import mock_chat_client
+        chat = mock_chat_client(latency_sec=0.01)
+
+        def call(prompt):
+            touch("extract")
+            return chat(prompt)
+        return LLMExtractorEngine(call)
+
+    def judge_factory():
+        from agraph_ray.mock_llm import mock_chat_client
+        chat = mock_chat_client(latency_sec=0.01)
+
+        def call(prompt):
+            touch("judge")
+            return chat(prompt)
+        return call
+
+    class Embedder:
+        def __init__(self):
+            from agraph_ray.mock_llm import mock_embedding_client
+            self.inner = mock_embedding_client(latency_sec=0.0,
+                                               embedding_dim=64)
+
+        def embed_batch(self, texts):
+            touch("embed")
+            return self.inner.embed_batch(texts)
+
+    return engine_factory, judge_factory, Embedder()
+
+
+def _pids(log_dir: str, tag: str) -> set:
+    return {int(f.split("-")[1]) for f in os.listdir(log_dir)
+            if f.startswith(tag + "-")}
+
+
+def test_e2e_one_endpoint_pool_per_run(e2e_run, tmp_path, monkeypatch):
+    """Extract, embed and judge share one pool: at most its size of
+    endpoint processes serve the run, embed and judge run in processes
+    that also served extract, and none is alive once the run returns. A
+    resume with every endpoint phase committed starts no pool actor."""
+    from test_endpoint_pool import wait_dead
+
+    from agraph_ray.state.endpoint_pool import EndpointPool
+    base, files, out_ref, _ = e2e_run
+    log_dir = str(tmp_path)
+    engine, judge, embedder = _recording_clients(log_dir)
+    out = os.path.join(base, "out_shared_pool")
+    kw = dict(engine_factory=engine, judge_llm_factory=judge,
+              embedder=embedder,
+              llm_opts={"num_actors": 2, "max_concurrent": 8,
+                        "batch_size": 4},
+              judge_opts={"concurrency": 2})
+    _run(files, out, **kw)
+    extract = _pids(log_dir, "extract")
+    served = extract | _pids(log_dir, "embed") | _pids(log_dir, "judge")
+    assert 0 < len(served) <= 2 and os.getpid() not in served
+    assert _pids(log_dir, "embed") and _pids(log_dir, "embed") <= extract
+    assert _pids(log_dir, "judge") and _pids(log_dir, "judge") <= extract
+    assert wait_dead(served) == []
+    assert _final_counts(out) == _final_counts(out_ref)
+
+    started = []
+    real = EndpointPool._acquire
+    monkeypatch.setattr(EndpointPool, "_acquire",
+                        lambda self: started.append(1) or real(self))
+    res = _run(files, out, **kw)
+    assert res.metrics.get("skipped_judge") == 1
+    assert started == []
+
+
+def test_e2e_pool_closed_when_judge_raises(e2e_run, tmp_path):
+    """A run that raises in the judge phase leaves no pool actor alive."""
+    from test_endpoint_pool import wait_dead
+    base, files, _, _ = e2e_run
+    log_dir = str(tmp_path)
+    engine, _, embedder = _recording_clients(log_dir)
+
+    def judge_down():
+        raise RuntimeError("judge endpoint down")
+    with pytest.raises(RuntimeError, match="judge endpoint down"):
+        _run(files, os.path.join(base, "out_judge_raises"),
+             engine_factory=engine, embedder=embedder,
+             judge_llm_factory=judge_down)
+    served = _pids(log_dir, "extract")
+    assert served and wait_dead(served) == []
 
 
 KILL_DRIVER = textwrap.dedent("""
@@ -281,7 +450,7 @@ def test_e2e_kill_mid_extract_then_resume(e2e_run, with_judge):
     else:
         # every partition and the phases up to ann_link committed
         assert "llm_e2e-ann_link.json" in committed
-        assert "llm_e2e-judge.json" not in committed
+        assert not any(c.startswith("llm_e2e-judge") for c in committed)
         overrides["judge_llm_factory"] = None
         out_ref = os.path.join(base, "out_threshold_ref")
         _run(files, out_ref, **overrides)

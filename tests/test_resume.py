@@ -99,3 +99,26 @@ def test_concurrent_groups_match_serial(resumable_setup, tmp_path):
     r2 = build_kg_resumable(paths, out_c, cfg, shards_per_partition=1,
                             do_canonicalize=False, group_concurrency=2)
     assert r2.metrics["skipped"] == 4
+
+
+def test_resumable_without_mentions(ray_session, tmp_path):
+    """A corpus the extractor finds nothing in builds an empty graph: each
+    0-row mentions partition keeps the mentions schema, so dedup finds
+    its columns (it raised ``KeyError: 'Column aliases does not exist in
+    schema'`` on the schemaless empty partition)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from agraph_ray.pipelines.kg_build import build_kg_resumable
+    from agraph_ray.stages.extract import MENTIONS_SCHEMA
+    inp = tmp_path / "in"
+    inp.mkdir()
+    pq.write_table(pa.table({"conv_id": ["c1", "c1"], "turn_idx": [0, 1],
+                             "text": ["...", "1 2 3"]}),
+                   str(inp / "s.parquet"))
+    out = str(tmp_path / "out")
+    res = build_kg_resumable([str(inp / "s.parquet")], out, KGConfig())
+    assert (res.metrics["n_nodes"], res.metrics["n_edges"],
+            res.metrics["n_triples"]) == (0, 0, 0)
+    part = pq.read_table(os.path.join(out, "mentions", "part=0"))
+    assert part.num_rows == 0 and part.schema.names == MENTIONS_SCHEMA.names
