@@ -21,6 +21,7 @@ atomically (write to tmp, swap), and commit a manifest recording the delta.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 from typing import Dict, Optional, Sequence
 
@@ -35,6 +36,18 @@ from ..stages.reassemble import reassemble
 from .kg_build import KGBuildResult, _mentions_to_outputs
 
 
+def _finish_mentions_swap(out_dir: str) -> None:
+    """Finish a ``remove_documents`` stopped between its two renames. A
+    ``mentions.tomb/`` is complete once it exists (atomic_write_parquet
+    renames it into place after the write), so with ``mentions/`` gone it
+    takes its place; a leftover ``mentions.old/`` is dropped."""
+    mentions_dir = os.path.join(out_dir, "mentions")
+    if (not os.path.isdir(mentions_dir)
+            and os.path.isdir(mentions_dir + ".tomb")):
+        os.rename(mentions_dir + ".tomb", mentions_dir)
+    shutil.rmtree(mentions_dir + ".old", ignore_errors=True)
+
+
 def add_documents(out_dir: str, new_transcripts,
                   cfg: Optional[KGConfig] = None,
                   do_canonicalize: bool = True) -> KGBuildResult:
@@ -46,6 +59,7 @@ def add_documents(out_dir: str, new_transcripts,
     from ..sources import sized_read_parquet
     cfg = cfg or KGConfig()
     t0 = time.time()
+    _finish_mentions_swap(out_dir)
     if isinstance(new_transcripts, (str, list)):
         new_transcripts = sized_read_parquet(
             new_transcripts, columns=["conv_id", "turn_idx", "text"])
@@ -74,6 +88,7 @@ def remove_documents(out_dir: str, conv_ids: Sequence[str],
     import ray.data as rd
     cfg = cfg or KGConfig()
     t0 = time.time()
+    _finish_mentions_swap(out_dir)
     tomb = set(conv_ids)
 
     import pyarrow as pa
@@ -98,9 +113,7 @@ def remove_documents(out_dir: str, conv_ids: Sequence[str],
         # its schema (an empty dir has no columns for dedup to read)
         pq.write_table(pads.dataset(mentions_dir).schema.empty_table(),
                        os.path.join(tmp, "part-0.parquet"))
-    import shutil
     old = mentions_dir + ".old"
-    shutil.rmtree(old, ignore_errors=True)
     os.rename(mentions_dir, old)
     os.rename(tmp, mentions_dir)
     shutil.rmtree(old, ignore_errors=True)

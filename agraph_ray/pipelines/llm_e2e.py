@@ -246,7 +246,7 @@ def build_kg_llm_e2e(shard_paths: Sequence[str], out_dir: str,
                 cmap = components_to_canonical_map(labels)
         nodes = rd.read_parquet(os.path.join(out_dir, "nodes_exact"))
         edges = rd.read_parquet(os.path.join(out_dir, "edges_exact"))
-        out_nodes, out_edges = apply_canonical_map(nodes, edges, cmap, cfg)
+        out_nodes, out_edges = apply_canonical_map(nodes, edges, cmap)
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=2) as tp:
             f_n = tp.submit(atomic_write_parquet, out_nodes,

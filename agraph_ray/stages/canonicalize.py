@@ -19,6 +19,20 @@ endpoints are already linked.
 Determinism: minhash permutations use fixed 64-bit multiply-shift constants
 (ops/dedup.py:_perm_constants) — identical across processes and cluster
 sizes.
+
+``canonicalize`` is ``compute_canonical_map`` then ``apply_canonical_map``,
+and each decides its side once, by size:
+
+- the map runs on the driver up to ``_MAP_DRIVER_NODES`` nodes (the
+  canonical-entity table is vocabulary, not corpus), else over band-bucket
+  partitions (``link_entities`` → ``connected_components``);
+- the rewrite runs on the driver while nodes and edges each fit
+  ``_REWRITE_DRIVER_ROWS`` rows, else as per-batch maps plus a reduce by
+  edge signature.
+
+Both sides run the same kernels (``MinHashBander``, ``_walk_blocks``,
+``_CanonicalRewrite``, ``_merge_groups``, ``_resig_dedup``) and give the
+same outputs.
 """
 
 from __future__ import annotations
@@ -31,13 +45,18 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..config import KGConfig
+from ..state.unionfind import (UnionFind, components_to_canonical_map,
+                               connected_components)
 # the query oracles import _GRAM_MULT, _MERSENNE, _TOKEN_HASH_KEY from here
 from ..ops.dedup import (_GRAM_MULT, _MERSENNE,  # noqa: F401
                          _TOKEN_HASH_KEY, MinHashSigner, _hash_tokens)
-from ..state.unionfind import connected_components, components_to_canonical_map
+from .dedup import EDGES_SCHEMA, NODES_SCHEMA, merge_properties
+
+# the two size rules (module docstring)
+_MAP_DRIVER_NODES = 200_000
+_REWRITE_DRIVER_ROWS = 2_000_000
 
 
 def _char_shingles(name: str, k: int) -> set:
@@ -262,13 +281,14 @@ _PAIR_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
                           ("sim", pa.float64())])
 
 
-def _collect_df(ds: "ray.data.Dataset") -> pd.DataFrame:
-    """Driver-side collect via Arrow concat — bypasses Dataset.to_pandas's
-    tensor-extension casting, which chokes on ragged list columns."""
+def _collect(ds: "ray.data.Dataset", schema: pa.Schema) -> pa.Table:
+    """Driver-side collect via Arrow concat (``schema``'s empty table when
+    ``ds`` has no blocks) — bypasses Dataset.to_pandas's tensor-extension
+    casting, which chokes on ragged list columns."""
     tbls = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
     if not tbls:
-        return pd.DataFrame()
-    return pa.concat_tables(tbls, promote_options="default").to_pandas()
+        return schema.empty_table()
+    return pa.concat_tables(tbls, promote_options="default")
 
 
 def link_entities(nodes: "ray.data.Dataset",
@@ -320,28 +340,20 @@ def find_similar_entities(nodes: "ray.data.Dataset",
 
 
 def compute_canonical_map(nodes: "ray.data.Dataset",
-                          cfg: Optional[KGConfig] = None,
-                          driver_threshold: int = 200_000) -> Dict[str, str]:
+                          cfg: Optional[KGConfig] = None) -> Dict[str, str]:
     """nodes → {entity_id: canonical_id} for matched near-duplicates.
 
-    Size-adaptive like connected_components: when the node table is
-    dictionary-sized (≤ ``driver_threshold``; the canonical-entity table
-    is vocabulary, not corpus), the nodes are collected and
-    banding, pair scoring and union-find run on the driver — the same
-    blocking, ordering, caps and scoring as the distributed path, without
-    its two shuffle rounds. Above the threshold the shuffle path
-    (link_entities → connected_components) takes over.
+    Up to ``_MAP_DRIVER_NODES`` nodes, banding, pair scoring and union-find
+    run on the collected nodes; above it the same bander and block walk run
+    over band-bucket partitions (link_entities → connected_components).
     """
     cfg = cfg or KGConfig()
-    if nodes.count() > driver_threshold:
-        match_edges = link_entities(nodes, cfg)
-        if match_edges.count() == 0:
-            return {}
-        labels = connected_components(match_edges,
-                                      max_iters=cfg.max_label_prop_iters)
-        return components_to_canonical_map(labels)
-
-    return _canonical_map_from_df(_collect_df(nodes), cfg)
+    if nodes.count() <= _MAP_DRIVER_NODES:
+        return _canonical_map_from_df(
+            _collect(nodes, NODES_SCHEMA).to_pandas(), cfg)
+    labels = connected_components(link_entities(nodes, cfg),
+                                  max_iters=cfg.max_label_prop_iters)
+    return components_to_canonical_map(labels)
 
 
 def _canonical_map_from_df(ndf: pd.DataFrame,
@@ -360,21 +372,11 @@ def _canonical_map_from_df(ndf: pd.DataFrame,
         c for c in ("aliases", "properties") if c in ndf.columns]
     bands = MinHashBander(cfg)(
         pa.Table.from_pandas(ndf[cols], preserve_index=False)).to_pandas()
-    parent: Dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    uf = UnionFind()
     for s, d, _ in _walk_blocks(bands, cfg,
-                                linked=lambda a, b: find(a) == find(b)):
-        rs, rd_ = find(s), find(d)
-        parent[max(rs, rd_)] = min(rs, rd_)
-    return {n: r for n in parent if (r := find(n)) != n}
+                                linked=lambda a, b: uf.find(a) == uf.find(b)):
+        uf.union(s, d)
+    return {n: r for n, r in uf.labels().items() if r != n}
 
 
 def _fill_schema_cols(df: pd.DataFrame, schema: pa.Schema) -> pd.DataFrame:
@@ -386,6 +388,12 @@ def _fill_schema_cols(df: pd.DataFrame, schema: pa.Schema) -> pd.DataFrame:
     return df
 
 
+def _to_table(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    return pa.Table.from_pandas(_fill_schema_cols(df, schema), schema=schema,
+                                preserve_index=False
+                                ).replace_schema_metadata(None)
+
+
 def _merge_groups(hit: pd.DataFrame) -> pd.DataFrame:
     """Collapse every canonical merge group of ``hit`` (node rows with a
     ``canonical_id`` column) to its representative row, in one pass: the
@@ -394,6 +402,8 @@ def _merge_groups(hit: pd.DataFrame) -> pd.DataFrame:
     members' names becomes its aliases, properties dict-merge and
     mention/conv counts sum. Groups come out in first-appearance order of
     their canonical id."""
+    if hit.empty:
+        return hit.drop(columns=["canonical_id"], errors="ignore")
     s = hit.sort_values(["canonical_id", "confidence", "entity_id"],
                         ascending=[True, False, True], kind="mergesort")
     rep = s.drop_duplicates("canonical_id").set_index("canonical_id",
@@ -408,7 +418,6 @@ def _merge_groups(hit: pd.DataFrame) -> pd.DataFrame:
              .groupby("canonical_id", sort=False)["alias"].agg(list))
     rep["aliases"] = [union.get(k, []) for k in rep.index]
     if "properties" in s.columns:
-        from .dedup import merge_properties
         props = merge_properties(s, "canonical_id")
         rep["properties"] = [props.get(k) for k in rep.index]
     sums = s.groupby("canonical_id", sort=False)[["n_mentions",
@@ -418,44 +427,6 @@ def _merge_groups(hit: pd.DataFrame) -> pd.DataFrame:
     rep["entity_id"] = rep["canonical_id"]
     return (rep.loc[hit["canonical_id"].unique()]
             .drop(columns=["canonical_id"]).reset_index(drop=True))
-
-
-def _canonicalize_driver(nodes, edges, cmap):
-    """Whole-graph driver rewrite for dictionary-sized graphs: node merge,
-    edge endpoint rewrite, self-loop drop, and signature re-dedup in one
-    pandas pass — zero cluster executions. Returns (pa.Table, pa.Table)."""
-    from .dedup import EDGES_SCHEMA, NODES_SCHEMA
-
-    def _as_df(x):
-        if isinstance(x, pd.DataFrame):
-            return x
-        return _collect_df(x) if hasattr(x, "iter_batches") \
-            else x.to_pandas()
-
-    ndf = _fill_schema_cols(_as_df(nodes), NODES_SCHEMA)
-    ndf["aliases"] = ndf["aliases"].map(
-        lambda v: list(v) if v is not None else [])
-    affected = set(cmap) | set(cmap.values())
-    mask = ndf["entity_id"].isin(affected)
-    keep = ndf[~mask]
-    hit = ndf[mask].copy()
-    if len(hit):
-        hit["canonical_id"] = hit["entity_id"].map(lambda i: cmap.get(i, i))
-        ndf = pd.concat([keep, _merge_groups(hit)], ignore_index=True)
-    else:
-        ndf = keep
-    nodes_t = pa.Table.from_pandas(ndf, schema=NODES_SCHEMA,
-                                   preserve_index=False
-                                   ).replace_schema_metadata(None)
-
-    edf = _fill_schema_cols(_as_df(edges), EDGES_SCHEMA)
-    edf["head_id"] = edf["head_id"].map(lambda i: cmap.get(i, i))
-    edf["tail_id"] = edf["tail_id"].map(lambda i: cmap.get(i, i))
-    edges_t = pa.Table.from_pandas(
-        _resig_dedup(edf[edf["head_id"] != edf["tail_id"]]),
-        schema=EDGES_SCHEMA, preserve_index=False
-    ).replace_schema_metadata(None)
-    return nodes_t, edges_t
 
 
 def _resig_dedup(edf: pd.DataFrame) -> pd.DataFrame:
@@ -471,124 +442,105 @@ def _resig_dedup(edf: pd.DataFrame) -> pd.DataFrame:
     return top.reset_index(drop=True)
 
 
+class _CanonicalRewrite:
+    """The rewrite kernels of one canonical map, ``pa.Table → pa.Table``
+    each: the driver rewrite calls them on the collected tables, the
+    distributed one inside ``map_batches``."""
+
+    def __init__(self, cmap: Dict[str, str]):
+        self.src = pa.array(list(cmap), pa.string())
+        self.dst = pa.array(list(cmap.values()), pa.string())
+        # every node of a merge group, merged ids and roots alike
+        self.affected = pa.concat_arrays([self.src, self.dst]).unique()
+
+    def _canon(self, ids) -> pa.ChunkedArray:
+        ids = ids.cast(pa.string())
+        return pc.coalesce(
+            pc.take(self.dst, pc.index_in(ids, value_set=self.src)), ids)
+
+    def split_nodes(self, t: pa.Table, hit: bool) -> pa.Table:
+        """The rows of ``t`` inside a merge group, with their
+        ``canonical_id`` (``hit``), or the rows outside every group."""
+        mask = pc.is_in(t["entity_id"].cast(pa.string()),
+                        value_set=self.affected)
+        if not hit:
+            return t.filter(pc.invert(mask))
+        t = t.filter(mask)
+        return t.append_column("canonical_id", self._canon(t["entity_id"]))
+
+    def rewrite_edges(self, t: pa.Table) -> pa.Table:
+        """Both endpoints to canonical ids. A merge can collapse an edge's
+        endpoints into one node; such self-relations are invalid
+        (agraph/relations.py:116-125) and dropped."""
+        for c in ("head_id", "tail_id"):
+            t = t.set_column(t.schema.get_field_index(c), c,
+                             self._canon(t[c]))
+        return t.filter(pc.not_equal(t["head_id"], t["tail_id"]))
+
+
 def canonicalize(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
-                 cfg: Optional[KGConfig] = None,
-                 driver_threshold: int = 2_000_000):
-    """Run linking + components, rewrite nodes/edges to canonical ids.
+                 cfg: Optional[KGConfig] = None):
+    """Link near-duplicate nodes and rewrite nodes/edges to canonical ids:
+    :func:`compute_canonical_map` then :func:`apply_canonical_map`.
 
-    Returns (canonical_nodes, canonical_edges, canonical_map); the first
-    two are pyarrow Tables when the whole graph fits the driver rewrite
-    path (≤ ``driver_threshold`` rows each — the canonical graph is
-    vocabulary-sized relative to the corpus), else Datasets. The
-    distributed rewrite is a broadcast-map (ray.put of the non-trivial
-    id→root dict) — only matched duplicates appear in the map.
+    Returns (canonical_nodes, canonical_edges, canonical_map); the tables
+    are as :func:`apply_canonical_map` returns them.
     """
-    cfg = cfg or KGConfig()
-
-    if (nodes.count() <= min(driver_threshold, 200_000)
-            and edges.count() <= driver_threshold):
-        # Single-collect fast path: pull nodes and edges once (two reads
-        # of already-materialized blocks, overlapped on threads) and run
-        # banding, pair generation, union-find and the whole-graph
-        # rewrite in-process. Replaces ~6 fixed-latency cluster
-        # executions with 2 — this was the dominant SERIAL term of the
-        # headline pipeline (4.5 s at every CPU count on a 241-node
-        # graph), i.e. the Amdahl cap on scaling efficiency.
-        from concurrent.futures import ThreadPoolExecutor
-        from .dedup import EDGES_SCHEMA, NODES_SCHEMA
-        with ThreadPoolExecutor(max_workers=2) as tp:
-            f_n = tp.submit(_collect_df, nodes)
-            f_e = tp.submit(_collect_df, edges)
-            ndf, edf = f_n.result(), f_e.result()
-        ndf = _fill_schema_cols(ndf, NODES_SCHEMA) if len(ndf) else ndf
-        edf = _fill_schema_cols(edf, EDGES_SCHEMA) if len(edf) else edf
-        cmap = _canonical_map_from_df(ndf, cfg)
-        if not cmap:
-            return nodes, edges, {}
-        nodes_t, edges_t = _canonicalize_driver(ndf, edf, cmap)
-        return nodes_t, edges_t, cmap
-
     cmap = compute_canonical_map(nodes, cfg)
-    if not cmap:
-        return nodes, edges, {}
-    nodes_o, edges_o = apply_canonical_map(nodes, edges, cmap, cfg,
-                                           driver_threshold)
-    return nodes_o, edges_o, cmap
+    return (*apply_canonical_map(nodes, edges, cmap), cmap)
 
 
 def apply_canonical_map(nodes: "ray.data.Dataset", edges: "ray.data.Dataset",
-                        cmap: Dict[str, str],
-                        cfg: Optional[KGConfig] = None,
-                        driver_threshold: int = 2_000_000):
-    """Rewrite nodes/edges under an externally computed ``{entity_id:
-    canonical_id}`` map — the post-linking tail of :func:`canonicalize`,
-    exposed so alternative match sources (embedding-ANN candidates run
-    through the LLM pair judge — the reference lifecycle
-    agraph/builders/llm_builders.py:1035-1097) can share the same merge
-    semantics. Size-adaptive exactly like canonicalize: whole-graph
-    driver rewrite when both tables fit ``driver_threshold``, else the
-    broadcast filter-map (unaffected nodes never shuffle)."""
-    cfg = cfg or KGConfig()
+                        cmap: Dict[str, str]):
+    """Rewrite nodes/edges under a ``{entity_id: canonical_id}`` map: merge
+    each group's nodes into one row, map the edge endpoints, drop
+    self-loops and re-dedup edges by signature. Alternative match sources
+    (embedding-ANN candidates run through the LLM pair judge — the
+    reference lifecycle agraph/builders/llm_builders.py:1035-1097) share
+    these merge semantics through it.
+
+    Returns the input Datasets when ``cmap`` is empty. While nodes and
+    edges each fit ``_REWRITE_DRIVER_ROWS`` rows, both are collected and
+    rewritten in-process (pyarrow Tables out, no cluster execution beyond
+    the two collects). Above it, unaffected nodes pass through a filter
+    map (no shuffle), only the merge groups' rows come to the driver, and
+    edges are rewritten per batch then re-deduped by a signature reduce
+    (Datasets out).
+    """
     if not cmap:
         return nodes, edges
-
-    # cmap came from an external linker, but the whole-graph rewrite
-    # still fits the driver
-    if (nodes.count() <= driver_threshold
-            and edges.count() <= driver_threshold):
-        return _canonicalize_driver(nodes, edges, cmap)
-
-    cmap_ref = ray.put(cmap)
-    # every node participating in any merge group (sources AND targets)
-    affected = set(cmap) | set(cmap.values())
-    affected_ref = ray.put(affected)
-
-    # Nodes outside any merge group pass through untouched — a pure filter
-    # map, NO shuffle. Only the matched minority (bounded by |cmap|) is
-    # pulled to the driver, merged per canonical group, and unioned back.
-    def keep_unaffected(batch: pa.Table) -> pa.Table:
-        aff = ray.get(affected_ref)
-        mask = [i not in aff for i in batch["entity_id"].to_pylist()]
-        return batch.filter(pa.array(mask))
-
-    def keep_affected(batch: pa.Table) -> pa.Table:
-        aff = ray.get(affected_ref)
-        m: Dict[str, str] = ray.get(cmap_ref)
-        mask = [i in aff for i in batch["entity_id"].to_pylist()]
-        t = batch.filter(pa.array(mask))
-        canon = [m.get(i, i) for i in t["entity_id"].to_pylist()]
-        return t.append_column("canonical_id", pa.array(canon, pa.string()))
+    rw = _CanonicalRewrite(cmap)
+    if (nodes.count() <= _REWRITE_DRIVER_ROWS
+            and edges.count() <= _REWRITE_DRIVER_ROWS):
+        # the two collects overlap: nodes on a thread, edges on this one
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=1) as tp:
+            f_n = tp.submit(_collect, nodes, NODES_SCHEMA)
+            et = _collect(edges, EDGES_SCHEMA)
+            nt = f_n.result()
+        keep = _fill_schema_cols(rw.split_nodes(nt, hit=False).to_pandas(),
+                                 NODES_SCHEMA)
+        keep["aliases"] = keep["aliases"].map(
+            lambda v: list(v) if v is not None else [])
+        merged = _merge_groups(rw.split_nodes(nt, hit=True).to_pandas())
+        ndf = (pd.concat([keep, merged], ignore_index=True) if len(merged)
+               else keep)
+        edf = _fill_schema_cols(rw.rewrite_edges(et).to_pandas(),
+                                EDGES_SCHEMA)
+        return (_to_table(ndf, NODES_SCHEMA),
+                _to_table(_resig_dedup(edf), EDGES_SCHEMA))
 
     import ray.data as rd
 
     from .common import bucketed_group_reduce
-    from .dedup import EDGES_SCHEMA, NODES_SCHEMA
-    merged_df = _collect_df(
-        nodes.map_batches(keep_affected, batch_format="pyarrow"))
-    merged_rows = (_merge_groups(merged_df)
-                   if len(merged_df) else merged_df.drop(
-                       columns=["canonical_id"], errors="ignore"))
-    merged_rows = _fill_schema_cols(merged_rows, NODES_SCHEMA)
+    merged = _merge_groups(_collect(
+        nodes.map_batches(rw.split_nodes, fn_kwargs={"hit": True},
+                          batch_format="pyarrow"), NODES_SCHEMA).to_pandas())
     canon_nodes = nodes.map_batches(
-        keep_unaffected, batch_format="pyarrow").union(
-        rd.from_arrow(pa.Table.from_pandas(
-            merged_rows, schema=NODES_SCHEMA, preserve_index=False)
-            .replace_schema_metadata(None)))
-
-    def rewrite_edges(batch: pa.Table) -> pa.Table:
-        m: Dict[str, str] = ray.get(cmap_ref)
-        head = [m.get(i, i) for i in batch["head_id"].to_pylist()]
-        tail = [m.get(i, i) for i in batch["tail_id"].to_pylist()]
-        out = batch.set_column(batch.schema.get_field_index("head_id"),
-                               "head_id", pa.array(head, pa.string()))
-        out = out.set_column(out.schema.get_field_index("tail_id"),
-                             "tail_id", pa.array(tail, pa.string()))
-        # a merge can collapse both endpoints into one node — such
-        # self-relations are invalid (agraph/relations.py:116-125)
-        return out.filter(pc.invert(pc.equal(out["head_id"], out["tail_id"])))
-
+        rw.split_nodes, fn_kwargs={"hit": False}, batch_format="pyarrow"
+    ).union(rd.from_arrow(_to_table(merged, NODES_SCHEMA)))
     canon_edges = bucketed_group_reduce(
-        edges.map_batches(rewrite_edges, batch_format="pyarrow"),
+        edges.map_batches(rw.rewrite_edges, batch_format="pyarrow"),
         ["head_id", "relation_type", "tail_id"],
         lambda df: _resig_dedup(_fill_schema_cols(df, EDGES_SCHEMA)),
         schema=EDGES_SCHEMA)

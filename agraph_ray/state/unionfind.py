@@ -40,13 +40,15 @@ def _empty_labels():
         {"node": pa.array([], pa.string()), "label": pa.array([], pa.string())}))
 
 
-def _driver_union_find(sym_edges) -> "ray.data.Dataset":
-    """Exact union-find on the driver for small edge sets. One streaming
-    pass over the edges; path compression; labels = min node id."""
-    import ray.data as rd
-    parent: Dict[str, str] = {}
+class UnionFind:
+    """Exact in-memory union-find with path compression. A component's
+    root is its minimum id, whatever the union order."""
 
-    def find(x: str) -> str:
+    def __init__(self):
+        self.parent: Dict[str, str] = {}
+
+    def find(self, x: str) -> str:
+        parent = self.parent
         root = x
         while parent.setdefault(root, root) != root:
             root = parent[root]
@@ -54,12 +56,25 @@ def _driver_union_find(sym_edges) -> "ray.data.Dataset":
             parent[x], x = root, parent[x]
         return root
 
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def labels(self) -> Dict[str, str]:
+        """``{node: root}`` over every node seen."""
+        return {n: self.find(n) for n in self.parent}
+
+
+def _driver_union_find(sym_edges) -> "ray.data.Dataset":
+    """Exact union-find on the driver for small edge sets, in one
+    streaming pass over the edges."""
+    import ray.data as rd
+    uf = UnionFind()
     for b in sym_edges.iter_batches(batch_size=None, batch_format="pyarrow"):
         for s, d in zip(b["src"].to_pylist(), b["dst"].to_pylist()):
-            rs, rd_ = find(s), find(d)
-            if rs != rd_:
-                parent[max(rs, rd_)] = min(rs, rd_)
-    labels = {n: find(n) for n in parent}
+            uf.union(s, d)
+    labels = uf.labels()
     return rd.from_arrow(pa.table({
         "node": pa.array(list(labels.keys()), pa.string()),
         "label": pa.array(list(labels.values()), pa.string())}))

@@ -581,6 +581,58 @@ def test_remove_equals_complement_build(ray_session, corpus_dir, tmp_path):
         assert set(cols) <= set(d.schema.names), table
 
 
+def test_remove_killed_between_renames_resumes(ray_session, corpus_dir,
+                                               tmp_path, monkeypatch):
+    """A remove_documents killed between its two renames (no mentions/
+    left) is finished by the next call: a rerun of remove equals an
+    uninterrupted remove, and an add keeps the base mentions."""
+    import glob
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from agraph_ray.config import KGConfig
+    from agraph_ray.pipelines import incremental
+    from agraph_ray.pipelines.kg_build import build_kg
+
+    cfg = KGConfig()
+    shards = sorted(glob.glob(f"{corpus_dir}/*.parquet"))
+    base = str(tmp_path / "base")
+    build_kg(shards[:3], base, cfg, with_chunks=False)
+    victims = sorted(set(pq.read_table(
+        shards[0], columns=["conv_id"])["conv_id"].to_pylist()))[:2]
+    clean, killed = str(tmp_path / "clean"), str(tmp_path / "killed")
+    shutil.copytree(base, clean)
+    shutil.copytree(base, killed)
+    incremental.remove_documents(clean, victims, cfg)
+
+    class Killed(Exception):
+        pass
+
+    real_rename = os.rename
+
+    def kill_at_swap(src, dst):
+        if str(src).endswith("mentions.tomb"):
+            raise Killed("between the renames")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", kill_at_swap)
+    with pytest.raises(Killed):
+        incremental.remove_documents(killed, victims, cfg)
+    monkeypatch.setattr(os, "rename", real_rename)
+    assert not os.path.exists(os.path.join(killed, "mentions"))
+
+    killed_add = str(tmp_path / "killed_add")
+    shutil.copytree(killed, killed_add)
+    incremental.remove_documents(killed, victims, cfg)
+    _assert_graph_tables_equal(killed, clean)
+    assert not os.path.exists(os.path.join(killed, "mentions.old"))
+
+    incremental.add_documents(killed_add, shards[3:], cfg)
+    incremental.add_documents(clean, shards[3:], cfg)
+    _assert_graph_tables_equal(killed_add, clean)
+
+
 def test_ann_actor_pq_recall_floor(ray_session):
     """IVF-PQ ADC + exact re-rank holds a recall@10 floor vs the exact
     scan on clustered data (the regime PQ serves), and degrades cleanly
