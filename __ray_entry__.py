@@ -834,7 +834,7 @@ def q_reassemble_docs(sf_dir: str):
     from agraph_ray.stages.reassemble import reassemble
     from agraph_ray.synth import transcripts_from_documents
     ds = transcripts_from_documents(sf_dir)
-    docs = reassemble(ds, KGConfig(turn_separator=""), detect_hot=False)
+    docs = reassemble(ds, KGConfig(turn_separator=""))
     return docs.select_columns(["conv_id", "text"])
 
 
@@ -2823,8 +2823,7 @@ def _linked_chunks(sf_dir: str):
         from agraph_ray.stages.reassemble import reassemble
         from agraph_ray.synth import transcripts_from_documents
         cfg = KGConfig(turn_separator="")
-        docs = reassemble(transcripts_from_documents(sf_dir), cfg,
-                          detect_hot=False)
+        docs = reassemble(transcripts_from_documents(sf_dir), cfg)
         chunks = chunk_documents(docs, cfg)
         nodes, edges = _kg(sf_dir)
         _LINKED_CACHE[sf_dir] = link_chunks(chunks, nodes,

@@ -9,7 +9,7 @@ per-block pair caps, partition sizing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,6 @@ class KGConfig:
     # --- materialization ---
     min_rows_per_file: int = 200_000
 
-    # --- co-occurrence blowup guard (reference has the same quadratic
-    #     behaviour unbounded, relation_extractor.py:447-487; we cap and count) ---
-    max_cooc_entities_per_sentence: int = 50
-
-    extra: dict = field(default_factory=dict)
-
     @classmethod
     def from_env(cls, prefix: str = "AGRAPH_", **overrides) -> "KGConfig":
         """Build a config from environment variables (the reference's
@@ -76,8 +70,6 @@ class KGConfig:
         import os
         kwargs = {}
         for f_ in cls.__dataclass_fields__.values():
-            if f_.name == "extra":
-                continue
             raw = os.environ.get(prefix + f_.name.upper())
             if raw is None:
                 continue

@@ -8,6 +8,19 @@ Every variant follows the same scale shape:
 The quadratic work only ever happens *inside a bucket*, never globally —
 the distributed replacement for the reference's O(n²) candidate scan
 (agraph/builders/llm_builders.py:413-435).
+
+Size constants, each read on the driver once per call:
+
+- ``_KILL_BROADCAST_ROWS`` (2M rows): the kill lists of
+  :func:`line_dedup` and :func:`neardedup_against` ride ``ray.put`` up to
+  it, and anti-join back through a co-group above it;
+- ``_SEMI_JOIN_IDS`` (20M ids): candidate verification filters the texts
+  to the candidates' ids up to it, and shingles every text above it;
+- ``_BROADCAST_IDS`` (200k ids) and ``_BROADCAST_BYTES`` (512 MB): up to
+  both, the candidates' shingle sets ride ``ray.put`` and scoring needs
+  no shuffle; above either, two bucketed shuffles score the pairs;
+- ``_DRIVER_SCORE_PAIRS`` (20k pairs): on that broadcast side, up to it
+  the pairs are scored on the driver, above it in a ``map_batches``.
 """
 
 from __future__ import annotations
@@ -19,6 +32,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+_KILL_BROADCAST_ROWS = 2_000_000
+_SEMI_JOIN_IDS = 20_000_000
+_BROADCAST_IDS = 200_000
+_BROADCAST_BYTES = 512 << 20
+_DRIVER_SCORE_PAIRS = 20_000
 
 _MERSENNE = (1 << 61) - 1
 _TOKEN_HASH_KEY = "agraph-ray-tok!!"          # 16 bytes, fixed -> deterministic
@@ -170,7 +189,6 @@ def exact_dedup_by(ds: "ray.data.Dataset", text_col: str = "text",
 
 def line_dedup(ds: "ray.data.Dataset", id_col: str = "conv_id",
                pos_col: str = "turn_idx", text_col: str = "text",
-               broadcast_cap: int = 2_000_000,
                num_buckets: int = 64) -> "ray.data.Dataset":
     """Corpus-level exact line/turn dedup (the CCNet paragraph-hash rule):
     keep only the globally FIRST occurrence — min ``(id, pos)``
@@ -182,8 +200,8 @@ def line_dedup(ds: "ray.data.Dataset", id_col: str = "conv_id",
     Scale shape: only ``(16-byte md5, id, pos)`` rides the winner shuffle —
     never the text. The kill list (duplicate occurrences only, bounded by
     the duplicate mass, not the corpus) is broadcast as a set while it has
-    <= ``broadcast_cap`` rows; past that it anti-joins back to the input
-    via the bucketed co-group (one more shuffle, no driver state).
+    <= ``_KILL_BROADCAST_ROWS`` rows; past that it anti-joins back to the
+    input via the bucketed co-group (one more shuffle, no driver state).
     """
     import ray
     import ray.data as rd
@@ -210,7 +228,7 @@ def line_dedup(ds: "ray.data.Dataset", id_col: str = "conv_id",
             sig, batch_format="pyarrow"),
         ["h"], losers, num_buckets, schema=kill_schema).materialize()
 
-    if kills.count() <= broadcast_cap:
+    if kills.count() <= _KILL_BROADCAST_ROWS:
         dead = set()
         for b in kills.iter_batches(batch_size=None, batch_format="pyarrow"):
             dead.update(zip(b[id_col].to_pylist(), b[pos_col].to_pylist()))
@@ -262,8 +280,8 @@ def dedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
 def neardedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
                       text_col: str = "text", id_col: str = "doc_id",
                       jaccard_threshold: float = 0.8, num_perm: int = 64,
-                      bands: int = 16, max_bucket: int = 1000,
-                      broadcast_cap: int = 2_000_000) -> "ray.data.Dataset":
+                      bands: int = 16, max_bucket: int = 1000
+                      ) -> "ray.data.Dataset":
     """Incremental NEAR-dup filter: rows of ``new`` with no near-duplicate
     (word-shingle Jaccard >= ``jaccard_threshold``) in ``existing`` — the
     crawl-growth sibling of :func:`dedup_against` (exact tier) one rung up
@@ -277,9 +295,9 @@ def neardedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
     shingle sets through the same two bucketed shuffles as
     :func:`minhash_dedup` (semi-join pruned). The kill list (new ids with
     a confirmed existing near-dup, bounded by the duplicate mass) is
-    broadcast under ``broadcast_cap`` rows, else anti-joined back via the
-    bucketed co-group. Within-batch near-dups are out of scope — run
-    :func:`minhash_dedup` on ``new`` first if needed."""
+    broadcast under ``_KILL_BROADCAST_ROWS`` rows, else anti-joined back
+    via the bucketed co-group. Within-batch near-dups are out of scope —
+    run :func:`minhash_dedup` on ``new`` first if needed."""
     import ray
     import ray.data as rd
 
@@ -358,7 +376,7 @@ def neardedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
             t["jaccard"], jaccard_threshold)).select(["a"]),
         batch_format="pyarrow").materialize()
 
-    if kills.count() <= broadcast_cap:
+    if kills.count() <= _KILL_BROADCAST_ROWS:
         dead: set = set()
         for b in kills.iter_batches(batch_size=None, batch_format="pyarrow"):
             dead.update(b["a"].to_pylist())
@@ -567,18 +585,14 @@ def _shingle_sets(texts: "ray.data.Dataset", signer: "MinHashSigner",
 
 def _jaccard_scored_pairs(texts: "ray.data.Dataset", cand: "ray.data.Dataset",
                           signer: "MinHashSigner", id_col: str,
-                          text_col: str,
-                          semi_join_cap: int = 20_000_000,
-                          broadcast_ids_cap: int = 200_000,
-                          broadcast_bytes_cap: int = 512 << 20
-                          ) -> "ray.data.Dataset":
+                          text_col: str) -> "ray.data.Dataset":
     """cand(a, b) → (a, b, jaccard), fully distributed.
 
     NO driver-side text dict and no corpus broadcast (the round-1 version
     broadcast every document body and crashed past 200k docs). Two regimes:
 
-    **Small candidate set** (≤ ``broadcast_ids_cap`` distinct endpoints AND
-    the candidates' shingle sets fit ``broadcast_bytes_cap``): the shingle
+    **Small candidate set** (≤ ``_BROADCAST_IDS`` distinct endpoints AND
+    the candidates' shingle sets fit ``_BROADCAST_BYTES``): the shingle
     sets of CANDIDATE DOCUMENTS ONLY — never the corpus — are computed
     distributed, collected, and broadcast once via ``ray.put``; scoring is
     a single shuffle-free ``map_batches`` over the distinct pairs. This is
@@ -599,7 +613,7 @@ def _jaccard_scored_pairs(texts: "ray.data.Dataset", cand: "ray.data.Dataset",
     Semi-join reduction: only documents that appear in a candidate pair
     need a shingle set at all — the distinct endpoint *ids* (ids only,
     never text) are collected, broadcast once, and used to filter ``texts``
-    before shingling. Above ``semi_join_cap`` distinct ids the filter is
+    before shingling. Above ``_SEMI_JOIN_IDS`` distinct ids the filter is
     skipped and every document's shingle set rides the shuffle as before
     (at 20M ids the broadcast vector is 160 MB — past that, the shuffle
     is the cheaper citizen)."""
@@ -622,9 +636,9 @@ def _jaccard_scored_pairs(texts: "ray.data.Dataset", cand: "ray.data.Dataset",
         ids.update(b_l)
         if pairs is not None:
             pairs.update(zip(a_l, b_l))
-            if len(pairs) > 4 * broadcast_ids_cap:
+            if len(pairs) > 4 * _BROADCAST_IDS:
                 pairs = None    # too many pairs to hold → shuffle regime
-        if len(ids) > semi_join_cap:
+        if len(ids) > _SEMI_JOIN_IDS:
             ids = None
             pairs = None
             break
@@ -645,7 +659,7 @@ def _jaccard_scored_pairs(texts: "ray.data.Dataset", cand: "ray.data.Dataset",
     sh = _shingle_sets(texts, signer, id_col, text_col)
 
     if (pairs is not None and ids is not None
-            and len(ids) <= broadcast_ids_cap):
+            and len(ids) <= _BROADCAST_IDS):
         # ---- broadcast regime: candidate-only shingle sets, no shuffle.
         # Shingling still runs distributed; the driver only collects the
         # candidates' uint64 hash arrays under a hard bytes guard.
@@ -658,7 +672,7 @@ def _jaccard_scored_pairs(texts: "ray.data.Dataset", cand: "ray.data.Dataset",
                 arr = np.asarray(s.values, dtype=np.uint64)
                 sh_map[i] = arr
                 nbytes += arr.nbytes + 96
-            if nbytes > broadcast_bytes_cap:
+            if nbytes > _BROADCAST_BYTES:
                 sh_map = None   # candidates too heavy → shuffle regime
                 break
         if sh_map is not None:
@@ -667,7 +681,7 @@ def _jaccard_scored_pairs(texts: "ray.data.Dataset", cand: "ray.data.Dataset",
             a_col = pa.array([p[0] for p in pair_list], id_t)
             b_col = pa.array([p[1] for p in pair_list], id_t)
             empty_u64 = np.empty(0, dtype=np.uint64)
-            if len(pair_list) <= 20_000:
+            if len(pair_list) <= _DRIVER_SCORE_PAIRS:
                 # Tiny pair set: score on the driver — the shingle map is
                 # already local, and skipping the scoring execution saves a
                 # whole streaming-executor round (~0.5 s fixed cost) that

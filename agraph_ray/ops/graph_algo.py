@@ -12,6 +12,17 @@ Reference parity: the reference keeps whole graphs in one process
 (networkx-style dict graphs, agraph/graph/knowledge_graph.py); these
 kernels are the scale-out replacements for its degree / connectivity
 analytics (agraph/graph/operations.py) on graphs that exceed one heap.
+
+Size constants, each read on the driver once per call:
+
+- ``_DRIVER_EDGES`` (5M edges): :func:`pagerank`, :func:`k_core` and
+  :func:`label_propagation` iterate in numpy on the driver up to it, and
+  in bucketed shuffle rounds above it;
+- ``_BROADCAST_ROWS`` (20M rows, 160 MB per int64 column): the triangle
+  degree table, the negative-sampling pool and the random-walk adjacency
+  ride ``ray.put`` up to it, and a co-grouped shuffle above it;
+- ``_LINK_DEGREE_BROADCAST_ROWS`` (5M rows): the same choice for the src
+  degree table of :func:`link_prediction_scores`.
 """
 
 from __future__ import annotations
@@ -24,6 +35,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.common import bucketed_group_reduce, distinct_on
+
+_DRIVER_EDGES = 5_000_000
+_BROADCAST_ROWS = 20_000_000
+_LINK_DEGREE_BROADCAST_ROWS = 5_000_000
 
 __all__ = ["pairs_within_groups", "triangle_counts", "pagerank",
            "personalized_pagerank", "k_core", "label_propagation",
@@ -104,7 +119,6 @@ def _degree_table(edges: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 def triangle_counts(edges: "ray.data.Dataset",
-                    deg_broadcast_cap: int = 20_000_000,
                     num_buckets: int = 128) -> "ray.data.Dataset":
     """Exact per-node triangle counts over an undirected edge list
     ``(a, b)`` (any order, duplicates tolerated) → ``(node, n_tri)`` for
@@ -119,9 +133,9 @@ def triangle_counts(edges: "ray.data.Dataset",
     hash co-group — no all-pairs step anywhere.
 
     The (node → degree) lookup is broadcast once via ``ray.put`` as two
-    sorted numpy arrays when |V| <= ``deg_broadcast_cap`` (160 MB at the
-    cap), else attached with two co-grouped shuffle joins. Node ids must
-    fit in uint32 (packed (deg << 32 | id) orientation key)."""
+    sorted numpy arrays when |V| <= ``_BROADCAST_ROWS``, else attached
+    with two co-grouped shuffle joins. Node ids must fit in uint32
+    (packed (deg << 32 | id) orientation key)."""
     import ray
 
     from .join import cogroup_join
@@ -143,7 +157,7 @@ def triangle_counts(edges: "ray.data.Dataset",
     deg = _degree_table(und).materialize()
     n_nodes = deg.count()
 
-    if n_nodes <= deg_broadcast_cap:
+    if n_nodes <= _BROADCAST_ROWS:
         ids = np.empty(n_nodes, dtype=np.int64)
         ds_ = np.empty(n_nodes, dtype=np.int64)
         off = 0
@@ -327,7 +341,6 @@ def _driver_pagerank(ed: "ray.data.Dataset", damping: float, iters: int,
 def pagerank(edges: "ray.data.Dataset", damping: float = 0.85,
              iters: int = 20, src_col: str = "src", dst_col: str = "dst",
              num_buckets: int = 64, round_to: Optional[int] = 8,
-             driver_threshold: int = 5_000_000,
              assume_no_dangling: bool = False,
              seeds: Optional[list] = None) -> "ray.data.Dataset":
     """Exact power-iteration PageRank over a directed edge list →
@@ -335,7 +348,7 @@ def pagerank(edges: "ray.data.Dataset", damping: float = 0.85,
     (nodes with no out-edges) is redistributed uniformly each round, so
     ranks sum to 1.
 
-    Size-adaptive: at or below ``driver_threshold`` edges, one numpy
+    Size-adaptive: at or below ``_DRIVER_EDGES`` edges, one numpy
     power iteration on the driver (a distributed round is several
     whole-cluster executions — pure overhead for small graphs). Above
     it, per round: one bucketed shuffle keyed on the source node (every
@@ -357,7 +370,7 @@ def pagerank(edges: "ray.data.Dataset", damping: float = 0.85,
           .map_batches(lambda t: t.rename_columns(["src", "dst"]),
                        batch_format="pyarrow")
           .materialize())
-    if ed.count() <= driver_threshold:
+    if ed.count() <= _DRIVER_EDGES:
         return _driver_pagerank(ed, damping, iters, round_to, seeds)
 
     def node_partial(t: pa.Table) -> pa.Table:
@@ -508,7 +521,6 @@ def _driver_k_core(edges_df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def k_core(edges: "ray.data.Dataset", k: int,
-           driver_threshold: int = 5_000_000,
            max_rounds: int = 1000) -> "ray.data.Dataset":
     """The k-core of an undirected edge list ``(a, b)`` → ``(node, deg)``
     for every node of the maximal subgraph where all degrees are >= k
@@ -542,7 +554,7 @@ def k_core(edges: "ray.data.Dataset", k: int,
 
     empty = pa.table({"node": pa.array([], pa.int64()),
                       "deg": pa.array([], pa.int64())})
-    if und.count() <= driver_threshold:
+    if und.count() <= _DRIVER_EDGES:
         return rd.from_arrow(pa.Table.from_pandas(
             _driver_k_core(und.to_pandas(), k), preserve_index=False)
             .cast(empty.schema) if und.count() else empty)
@@ -612,9 +624,7 @@ def _driver_lpa(df: pd.DataFrame, iters: int) -> pd.DataFrame:
 
 
 def label_propagation(edges: "ray.data.Dataset", iters: int = 10,
-                      num_buckets: int = 64,
-                      driver_threshold: int = 5_000_000
-                      ) -> "ray.data.Dataset":
+                      num_buckets: int = 64) -> "ray.data.Dataset":
     """Label-propagation community detection over an undirected edge list
     ``(a, b)`` → ``(node, community)``; the community id is the smallest
     node id in the community.
@@ -626,7 +636,7 @@ def label_propagation(edges: "ray.data.Dataset", iters: int = 10,
     changing), so results are reproducible across runs and partitionings.
 
     Size-adaptive like :func:`pagerank`: small graphs run vectorized numpy
-    rounds on the driver; above ``driver_threshold`` edges each round is
+    rounds on the driver; above ``_DRIVER_EDGES`` edges each round is
     two bucketed shuffles — (1) every edge picks up its source endpoint's
     current label and emits a vote to the other endpoint (plus the
     self-vote), with an in-bucket (node, label) combiner so the second
@@ -658,7 +668,7 @@ def label_propagation(edges: "ray.data.Dataset", iters: int = 10,
                       "community": pa.array([], pa.int64())})
     if und.count() == 0:
         return rd.from_arrow(empty)
-    if und.count() <= driver_threshold:
+    if und.count() <= _DRIVER_EDGES:
         return rd.from_arrow(pa.Table.from_pandas(
             _driver_lpa(und.to_pandas(), iters),
             preserve_index=False).cast(empty.schema))
@@ -769,8 +779,7 @@ def sample_neighbors(edges: "ray.data.Dataset", src: str, dst: str,
 
 def negative_sample_edges(edges: "ray.data.Dataset", src: str, dst: str,
                           pool: "ray.data.Dataset", pool_col: str,
-                          k: int = 2, num_buckets: int = 64,
-                          broadcast_cap: int = 20_000_000
+                          k: int = 2, num_buckets: int = 64
                           ) -> "ray.data.Dataset":
     """Deterministic negative sampling for KG-embedding training: for
     each distinct edge and each j in [0, k), corrupt the tail by a
@@ -782,7 +791,7 @@ def negative_sample_edges(edges: "ray.data.Dataset", src: str, dst: str,
     downstream with an anti join if needed.
 
     The pool rides as a broadcast sorted numpy array (``ray.put`` once)
-    up to ``broadcast_cap`` ids (160 MB at the cap); above it, the pick
+    up to ``_BROADCAST_ROWS`` ids; above it, the pick
     index becomes a join key against the globally-ranked pool (one
     range sort for the ranks + one co-group join) — identical output,
     never a driver-memory cliff."""
@@ -793,7 +802,7 @@ def negative_sample_edges(edges: "ray.data.Dataset", src: str, dst: str,
     pool_d = distinct_on(pool.select_columns([pool_col]), [pool_col],
                          num_buckets)
     n_pool = pool_d.count()
-    if n_pool > broadcast_cap:
+    if n_pool > _BROADCAST_ROWS:
         return _negative_sample_joined(edges, src, dst, pool_d, pool_col,
                                        k, n_pool, num_buckets)
     pool_ids = np.sort(np.asarray(
@@ -824,7 +833,6 @@ def negative_sample_edges(edges: "ray.data.Dataset", src: str, dst: str,
 
 def link_prediction_scores(edges: "ray.data.Dataset", src: str, dst: str,
                            k: int = 100, max_group: int = 10_000,
-                           broadcast_limit: int = 5_000_000,
                            num_buckets: int = 64) -> "ray.data.Dataset":
     """Link-prediction scores for src pairs sharing dst neighbors in a
     bipartite edge list: common-neighbor count, Jaccard, and Adamic-Adar
@@ -838,7 +846,8 @@ def link_prediction_scores(edges: "ray.data.Dataset", src: str, dst: str,
     1/ln(deg) Adamic-Adar weight) is just the in-bucket group size, so no
     separate degree pass or join is needed. One (a, b)-keyed reduce sums
     cn/aa. Src degrees (for Jaccard) are a tiny keyed count broadcast via
-    ``ray.put`` (size-guarded → co-group join fallback). Groups larger
+    ``ray.put`` up to ``_LINK_DEGREE_BROADCAST_ROWS`` rows, co-group
+    joined above it. Groups larger
     than ``max_group`` are skipped entirely (quadratic guard; a hub dst
     shared by everyone carries ~zero Adamic-Adar signal anyway) — mirror
     the same HAVING bound in any oracle."""
@@ -932,7 +941,7 @@ def link_prediction_scores(edges: "ray.data.Dataset", src: str, dst: str,
         s_l.append(bt["s"].to_numpy(zero_copy_only=False))
         ds_l.append(bt["ds"].to_numpy(zero_copy_only=False))
         nrows += len(bt["s"])
-        if nrows > broadcast_limit:
+        if nrows > _LINK_DEGREE_BROADCAST_ROWS:
             over = True
             del it
             break
@@ -1001,7 +1010,6 @@ def link_prediction_scores(edges: "ray.data.Dataset", src: str, dst: str,
 def random_walks(edges: "ray.data.Dataset", src: str, dst: str,
                  length: int = 4, walks_per_node: int = 1,
                  undirected: bool = True,
-                 adj_broadcast_cap: int = 20_000_000,
                  num_buckets: int = 64) -> "ray.data.Dataset":
     """Deterministic DeepWalk-style random walks (Perozzi 2014) →
     ``(walk_id, step, node)`` trail rows, one walk of ``length`` nodes
@@ -1013,7 +1021,7 @@ def random_walks(edges: "ray.data.Dataset", src: str, dst: str,
     this op is oracle-checkable. Walks stop early at sinks.
 
     Two paths, identical output. Adjacency within
-    ``adj_broadcast_cap`` edges: broadcast once as two sorted arrays and
+    ``_BROADCAST_ROWS`` edges: broadcast once as two sorted arrays and
     walk ALL steps in a single map pass over the seeds — zero shuffles
     after the adjacency build. Beyond the cap: one node-keyed bucketed
     reduce per step (frontier rows meet their node's co-located
@@ -1058,7 +1066,7 @@ def random_walks(edges: "ray.data.Dataset", src: str, dst: str,
         an_l.append(bt["node"].to_numpy(zero_copy_only=False))
         ab_l.append(bt["nbr"].to_numpy(zero_copy_only=False))
         rows += len(bt["node"])
-        if rows > adj_broadcast_cap:
+        if rows > _BROADCAST_ROWS:
             over = True
             del it  # cancel the streaming execution
             break

@@ -12,6 +12,14 @@ join's; per-task memory is one block.
 For small build sides prefer ``broadcast_join`` — ``ray.put`` the lookup
 once and map over the probe side with zero shuffle (the classic
 map-side/broadcast join).
+
+Size constants, each read on the driver once per call:
+
+- ``_BROADCAST_JOIN_ROWS`` (500k rows): :func:`auto_join` broadcasts a
+  right side up to it, and co-groups above it;
+- ``_HOT_BUILD_ROWS`` (2M rows): :func:`skew_join` broadcasts the build
+  rows of its hot keys up to it, and falls back to the plain co-group
+  above it.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ import ray
 from ..stages.common import bucketed_group_reduce
 
 _SIDE = "__side"
+_BROADCAST_JOIN_ROWS = 500_000
+_HOT_BUILD_ROWS = 2_000_000
 
 
 def cogroup_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -402,8 +412,8 @@ def heavy_hitter_keys(ds: "ray.data.Dataset", on: str, k: int = 64,
 
 def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
               on: str, how: str = "inner", num_buckets: int = 64,
-              max_hot: int = 32, hot_threshold: int = 1_000_000,
-              max_broadcast_rows: int = 2_000_000) -> "ray.data.Dataset":
+              max_hot: int = 32,
+              hot_threshold: int = 1_000_000) -> "ray.data.Dataset":
     """Skew-aware join: probe keys hotter than ``hot_threshold`` (found
     with bounded heavy-hitter counting, no full shuffle) are joined
     map-side against a broadcast of the build rows for JUST those keys;
@@ -417,7 +427,7 @@ def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
     path; results are path-invariant.
 
     ``how``: inner | left. The broadcast slice is capped at
-    ``max_broadcast_rows`` (falls back to the plain shuffle join above it).
+    ``_HOT_BUILD_ROWS`` (falls back to the plain shuffle join above it).
     """
     if how not in ("inner", "left"):
         raise ValueError(f"skew_join supports inner/left, got {how!r}")
@@ -462,7 +472,7 @@ def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
         bs = build.schema()
         build_hot = pa.schema(
             [(n, _bt(t)) for n, t in zip(bs.names, bs.types)]).empty_table()
-    if len(build_hot) > max_broadcast_rows:
+    if len(build_hot) > _HOT_BUILD_ROWS:
         return cogroup_join(probe, build, on=[on], how=how,
                             num_buckets=num_buckets)
     bdf_ref = ray.put(build_hot.to_pandas())
@@ -539,7 +549,6 @@ def broadcast_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
 
 def auto_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               on: Sequence[str], how: str = "inner",
-              broadcast_rows: int = 500_000,
               num_buckets: int = 64) -> "ray.data.Dataset":
     """Adaptive join: pick the physical strategy from measured sizes —
     the engine-side version of a cost-based join planner. All strategies
@@ -547,7 +556,7 @@ def auto_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     - semi/anti with any right side → ``bloom_join`` (runtime filter:
       the shuffle carries only the bloom-positive slice);
-    - inner/left with a right side under ``broadcast_rows`` AND a single
+    - inner/left with a right side under ``_BROADCAST_JOIN_ROWS`` AND a single
       key column → ``broadcast_join`` (map-side, zero shuffle);
     - everything else → ``cogroup_join`` (tagged-union bucketed
       co-group). Power-law keys: call ``skew_join`` directly — hot-key
@@ -563,7 +572,7 @@ def auto_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         # executes its whole upstream, and whichever join runs next would
         # execute it AGAIN
         right = right.materialize()
-        if right.count() <= broadcast_rows:
+        if right.count() <= _BROADCAST_JOIN_ROWS:
             cols = [c for c in right.schema().names if c != on[0]]
             return broadcast_join(left, right, on[0], cols, how=how)
     return cogroup_join(left, right, on, how=how, num_buckets=num_buckets)

@@ -10,6 +10,10 @@
   a provider client that slots in above this)
 - whole-graph JSON debug export (agraph/builders/llm_builders.py:1280,
   1303-1316 graph.json)
+
+Size constant: ``_SEMI_JOIN_IDS`` (10M ids) — up to it
+:func:`chunk_similarity_pairs` collects and broadcasts the candidate chunk
+ids to filter the relation lists; above it every list rides the shuffle.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ids import relation_id
+
+_SEMI_JOIN_IDS = 10_000_000
 
 REVERSE_RELATION_TYPE = {
     "contains": "belongs_to",
@@ -80,7 +86,6 @@ def chunk_similarity_pairs(linked_chunks: "ray.data.Dataset",
                            threshold: float = 0.2,
                            num_buckets: int = 64,
                            max_block_pairs: int = 200_000,
-                           semi_join_cap: int = 10_000_000,
                            ) -> "ray.data.Dataset":
     """Chunk pairs with entity/relation-overlap similarity ≥ threshold
     (text.py:277-297: 0.6 * entity Jaccard + 0.4 * relation Jaccard).
@@ -98,7 +103,7 @@ def chunk_similarity_pairs(linked_chunks: "ray.data.Dataset",
        its endpoints), so blocking is lossless.
     2. Relation Jaccard is attached by co-grouping the candidates with the
        relation lists of ONLY candidate-incident chunks (their ids — never
-       the lists — are collected and broadcast; above ``semi_join_cap``
+       the lists — are collected and broadcast; above ``_SEMI_JOIN_IDS``
        ids the filter is skipped and the full table rides the shuffle).
 
     The all-pairs reference scan is O(n²); this is candidate-bound.
@@ -202,7 +207,7 @@ def chunk_similarity_pairs(linked_chunks: "ray.data.Dataset",
             batch_size=None, batch_format="pyarrow"):
         ids.update(b["chunk_a"].to_pylist())
         ids.update(b["chunk_b"].to_pylist())
-        if len(ids) > semi_join_cap:
+        if len(ids) > _SEMI_JOIN_IDS:
             ids = None
             break
 

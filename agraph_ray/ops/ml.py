@@ -11,6 +11,10 @@ never O(rows), and no document text ever lands on the driver.
 Determinism: token rule is the engine-wide space-split (same as
 ops/text.py::corpus_word_counts and its DuckDB oracle); all tie-breaks
 are pinned (min label / min cluster index).
+
+Size constant: ``_MODEL_BROADCAST_ROWS`` (2M rows) — up to it
+:func:`score_nb` broadcasts the model's word table; above it document
+terms shuffle by word to meet it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import pyarrow.compute as pc
 
 from ..stages.common import bucketed_group_reduce, distinct_on
 from .embedding import _batch_vecs
+
+_MODEL_BROADCAST_ROWS = 2_000_000
 
 __all__ = ["NBModel", "train_nb", "score_nb", "embedding_kmeans",
            "softmax_probe", "hash_vectorize"]
@@ -133,13 +139,13 @@ def _nb_bases(model: NBModel):
 
 def score_nb(ds: "ray.data.Dataset", model: NBModel,
              id_col: str = "doc_id", text_col: str = "text",
-             broadcast_limit: int = 2_000_000,
              num_buckets: int = 64) -> "ray.data.Dataset":
     """Score documents → (id, pred_label, score). Two exact-equivalent
-    paths: if the model table is small it is broadcast once (ray.put) and
-    scoring is entirely map-side; otherwise doc term frequencies shuffle by
-    word to meet the model shards (inner cogroup join), and per-doc
-    per-class deltas fold in one id-keyed reduce. Ties → min label."""
+    paths: if the model table has at most ``_MODEL_BROADCAST_ROWS`` rows
+    it is broadcast once (ray.put) and scoring is entirely map-side;
+    otherwise doc term frequencies shuffle by word to meet the model
+    shards (inner cogroup join), and per-doc per-class deltas fold in one
+    id-keyed reduce. Ties → min label."""
     import ray
 
     classes, prior, denom, log_a = _nb_bases(model)
@@ -148,7 +154,7 @@ def score_nb(ds: "ray.data.Dataset", model: NBModel,
                             ("pred_label", pa.string()),
                             ("score", pa.float64())])
 
-    if model.word_counts.count() <= broadcast_limit:
+    if model.word_counts.count() <= _MODEL_BROADCAST_ROWS:
         wdf = model.word_counts.to_pandas()
         vocab = pd.Index(np.sort(wdf["word"].unique()))
         mat = np.zeros((len(vocab), k))

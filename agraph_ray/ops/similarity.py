@@ -9,6 +9,10 @@ reference's per-query Python loop over an in-heap vector dict
 Scale path: IVF-style LSH bucketing (ops/dedup.embedding_near_dup_pairs
 buckets) or the sharded ANN actor pool (state/ann.py) when the corpus is
 queried repeatedly.
+
+Size constant: ``_INDEX_BROADCAST_ROWS`` (2M rows) — :func:`embedding_join`
+broadcasts an index side up to it whole, and above it in ceil(rows / cap)
+hash shards, one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+_INDEX_BROADCAST_ROWS = 2_000_000
 
 
 def _topk(ds: "ray.data.Dataset", local, k: int, id_col: str,
@@ -263,15 +269,14 @@ def recall_at_k(approx: "ray.data.Dataset", exact: "ray.data.Dataset",
 
 def embedding_join(a: "ray.data.Dataset", b: "ray.data.Dataset",
                    k: int = 3, vec_col: str = "embedding",
-                   id_col: str = "vec_id",
-                   broadcast_cap: int = 2_000_000) -> "ray.data.Dataset":
+                   id_col: str = "vec_id") -> "ray.data.Dataset":
     """Exact nearest-neighbor join: for every vector in ``a``, the top-k
     most-cosine-similar vectors in ``b`` → ``(a_id, b_id, sim, rank)``.
     Deterministic ties: (-sim, b_id).
 
     Scale shape: ``b`` (the index side) is collected into two numpy
     arrays and broadcast ONCE via ``ray.put`` (size-guarded at
-    ``broadcast_cap`` rows — ~½ GB of float32x64 at the cap); ``a``
+    ``_INDEX_BROADCAST_ROWS`` rows — ~½ GB of float32x64 at the cap); ``a``
     streams through ``map_batches``, one matmul per batch, and the
     result is final per row — ZERO shuffles. An index side beyond the
     cap takes the sharded path: ``b`` splits into ceil(n/cap) hash
@@ -286,10 +291,18 @@ def embedding_join(a: "ray.data.Dataset", b: "ray.data.Dataset",
     # collect below (or S more times on the sharded path)
     b = b.select_columns([id_col, vec_col]).materialize()
     n_b = b.count()
-    if n_b > broadcast_cap:
+    if n_b > _INDEX_BROADCAST_ROWS:
         return _embedding_join_sharded(
             a, b, k, vec_col, id_col,
-            n_shards=int(np.ceil(n_b / broadcast_cap)))
+            n_shards=int(np.ceil(n_b / _INDEX_BROADCAST_ROWS)))
+    return _embedding_join_broadcast(a, b, k, vec_col, id_col)
+
+
+def _embedding_join_broadcast(a: "ray.data.Dataset", b: "ray.data.Dataset",
+                              k: int, vec_col: str,
+                              id_col: str) -> "ray.data.Dataset":
+    """The zero-shuffle join: ``b`` collected and broadcast whole, ``a``
+    streamed through one matmul and local top-k per batch."""
     ids_b, vecs_b = [], []
     for bt in b.iter_batches(
             batch_size=None, batch_format="pyarrow"):
@@ -353,9 +366,7 @@ def _embedding_join_sharded(a: "ray.data.Dataset", b: "ray.data.Dataset",
     for s in range(n_shards):
         shard = b.select_columns([id_col, vec_col]).map_batches(
             shard_filter(s), batch_format="pyarrow")
-        cand = embedding_join(a, shard, k=k, vec_col=vec_col,
-                              id_col=id_col,
-                              broadcast_cap=2 ** 62)  # shard fits
+        cand = _embedding_join_broadcast(a, shard, k, vec_col, id_col)
         parts = cand if parts is None else parts.union(cand)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:

@@ -9,6 +9,10 @@ The rank rule is pinned so a SQL oracle can reproduce it bit-for-bit:
 ``index = floor(q * (n - 1) + 0.5)`` into the ascending-sorted values
 (nearest-rank, half-up on the (n-1) scale) — no interpolation, result is
 always an element of the input.
+
+Size constant: ``_GROUP_BROADCAST_ROWS`` (10M groups) — up to it
+:func:`grouped_zscore` broadcasts its per-group stats table; above it the
+table joins back by group.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.common import arrow_col_type, bucketed_group_reduce
+
+_GROUP_BROADCAST_ROWS = 10_000_000
 
 
 def _key_hash32(vals) -> np.ndarray:
@@ -592,17 +598,16 @@ def group_concat(ds: "ray.data.Dataset", key: str, value_col: str,
 
 
 def grouped_zscore(ds: "ray.data.Dataset", group_col: str, val_col: str,
-                   out_col: str = "z",
-                   group_cap: int = 10_000_000) -> "ray.data.Dataset":
+                   out_col: str = "z") -> "ray.data.Dataset":
     """Population z-score of ``val_col`` within each group, appended as
     ``out_col`` — the per-language/per-source feature normalization op.
 
     Two passes, no row shuffle in the common case: per-batch (group, n,
     Σv, Σv²) partials reduce to one tiny stats table (|groups| rows),
     broadcast once; the second pass is map-side arithmetic. Beyond
-    ``group_cap`` distinct groups the stats table joins back by group
-    (one co-group shuffle) instead — identical output, no driver-memory
-    cliff. Zero-variance groups emit z = 0."""
+    ``_GROUP_BROADCAST_ROWS`` distinct groups the stats table joins back
+    by group (one co-group shuffle) instead — identical output, no
+    driver-memory cliff. Zero-variance groups emit z = 0."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -632,7 +637,7 @@ def grouped_zscore(ds: "ray.data.Dataset", group_col: str, val_col: str,
                          "__mean": pa.array(mean, pa.float64()),
                          "__std": pa.array(std, pa.float64())})
 
-    if stats.count() > group_cap:
+    if stats.count() > _GROUP_BROADCAST_ROWS:
         from .join import cogroup_join
         joined = cogroup_join(
             ds, stats.map_batches(_ms, batch_format="pyarrow"),

@@ -4,6 +4,18 @@ All operators are vectorized ``map_batches`` transforms over Arrow batches
 (pyarrow.compute / numpy kernels — no per-row Python in the hot path) and
 have deliberately SQL-expressible semantics where possible so the DuckDB
 oracle can verify them exactly (see __ray_entry__.oracle_sql).
+
+Size constants, each read on the driver once per call; up to each, a
+table rides ``ray.put`` and the corpus side stays map-only, above it the
+same result comes from a bucketed shuffle:
+
+- ``_VOCAB_BROADCAST_ROWS`` (5M words): the kept vocabulary of
+  :func:`vocab_prune` and the unigram model of :func:`unigram_logprob`;
+- ``_KILL_BROADCAST_ROWS`` (2M rows): the kill list of
+  :func:`remove_duplicate_spans`;
+- ``_EVAL_BROADCAST_BYTES`` (256 MB) and ``_ID_BROADCAST_ROWS`` (5M ids):
+  the eval grams and, past those, the contaminated ids of
+  :func:`decontaminate_ngrams`.
 """
 
 from __future__ import annotations
@@ -15,6 +27,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 # RE2 syntax in both pyarrow and DuckDB → identical semantics in the oracle.
+_VOCAB_BROADCAST_ROWS = 5_000_000
+_KILL_BROADCAST_ROWS = 2_000_000
+_EVAL_BROADCAST_BYTES = 256 << 20
+_ID_BROADCAST_ROWS = 5_000_000
+
 _TOKEN_RE = r"\S+"
 _PUNCT_RE = r"[[:punct:]]"
 _CJK_RE = r"[\x{4e00}-\x{9fff}]"
@@ -257,7 +274,7 @@ def corpus_word_counts(ds: "ray.data.Dataset",
 
 def vocab_prune(ds: "ray.data.Dataset", min_count: int = 2,
                 col: str = "text", id_col: str = "doc_id",
-                unk: str = "<unk>", broadcast_cap: int = 5_000_000,
+                unk: str = "<unk>",
                 num_buckets: int = 64) -> "ray.data.Dataset":
     """Vocabulary pruning / UNK replacement: every word whose CORPUS-WIDE
     count is below ``min_count`` is replaced by ``unk`` and each document
@@ -269,8 +286,8 @@ def vocab_prune(ds: "ray.data.Dataset", min_count: int = 2,
     Scale shape: the kept vocabulary (count >= min_count) is the
     BOUNDED side — heavy-tail corpora have unbounded hapax counts but a
     dictionary-sized frequent vocab — so it is collected and broadcast
-    under ``broadcast_cap`` rows (one ``ray.put``, membership tested
-    per batch with one ``pa.compute.is_in``). Past the cap, documents
+    under ``_VOCAB_BROADCAST_ROWS`` rows (one ``ray.put``, membership
+    tested per batch with one ``pa.compute.is_in``). Past the cap, documents
     explode to (id, pos, word) rows, pick up a keep-mark through a
     word-keyed bucketed co-group, and reassemble through an id-keyed
     reduce — two shuffles, no driver state."""
@@ -288,7 +305,7 @@ def vocab_prune(ds: "ray.data.Dataset", min_count: int = 2,
     out_schema = pa.schema([(id_col, id_t), (col, pa.string()),
                             ("n_unk", pa.int64())])
 
-    if freq.count() <= broadcast_cap:
+    if freq.count() <= _VOCAB_BROADCAST_ROWS:
         words: list = []
         for b in freq.iter_batches(batch_size=None, batch_format="pyarrow"):
             words.append(b["word"].combine_chunks())
@@ -454,8 +471,7 @@ def top_words_sketch(ds: "ray.data.Dataset", k: int = 20,
 
 
 def unigram_logprob(ds: "ray.data.Dataset", id_col: str = "doc_id",
-                    col: str = "text",
-                    broadcast_cap: int = 5_000_000) -> "ray.data.Dataset":
+                    col: str = "text") -> "ray.data.Dataset":
     """Corpus-unigram-LM document scoring → ``(id, n_tokens, lp_micro)``
     with ``lp_micro = floor(mean_w ln(count(w)/total_tokens) * 1e6 + 0.5)``
     — the per-token average log-likelihood under the corpus's own unigram
@@ -466,7 +482,7 @@ def unigram_logprob(ds: "ray.data.Dataset", id_col: str = "doc_id",
     (:func:`corpus_word_counts` — shuffle volume bounded by per-batch
     vocabulary), (2) a scoring ``map_batches``. The (word → ln p) model
     is broadcast once via ``ray.put`` while the vocabulary fits
-    ``broadcast_cap`` (a 5M-word model is ~100 MB); above it the score
+    ``_VOCAB_BROADCAST_ROWS`` (a 5M-word model is ~100 MB); above it the score
     pass switches to a word-keyed shuffle join: per-batch (doc, word,
     occ) partials meet the count table in one bucketed reduce, then a
     second reduce keyed on the document sums ``occ * ln p`` — no driver
@@ -494,7 +510,7 @@ def unigram_logprob(ds: "ray.data.Dataset", id_col: str = "doc_id",
         parents = np.repeat(np.arange(len(batch), dtype=np.int64), lens)
         return ids, lens, words, parents
 
-    if vocab <= broadcast_cap:
+    if vocab <= _VOCAB_BROADCAST_ROWS:
         wl, cl = [], []
         for b in counts.iter_batches(batch_size=None, batch_format="pyarrow"):
             wl.append(np.asarray(b["word"].to_pylist(), dtype=object))
@@ -882,7 +898,6 @@ def duplicate_ngram_stats(ds: "ray.data.Dataset", n: int = 8,
 def remove_duplicate_spans(ds: "ray.data.Dataset", n: int = 8,
                            min_count: int = 2, col: str = "text",
                            id_col: str = "doc_id", num_buckets: int = 64,
-                           broadcast_cap: int = 2_000_000,
                            ) -> "ray.data.Dataset":
     """Exact duplicated-span REMOVAL (the acting half of
     ``duplicate_ngram_stats``; Lee et al., "Deduplicating Training Data
@@ -899,7 +914,7 @@ def remove_duplicate_spans(ds: "ray.data.Dataset", n: int = 8,
     text; totals are an in-bucket ``transform('size')`` (all rows of a
     gram co-locate). The kill list (one row per duplicated window
     occurrence — bounded by the duplicate mass) is broadcast as per-doc
-    position arrays under ``broadcast_cap`` rows; past that it co-groups
+    position arrays under ``_KILL_BROADCAST_ROWS`` rows; past that it co-groups
     back to the texts through the same bucketed reduce (tagged union on
     ``doc_id`` — no driver state). Window hashing is the pinned
     SipHash-polynomial scheme shared with ``duplicate_ngram_stats``;
@@ -970,7 +985,7 @@ def remove_duplicate_spans(ds: "ray.data.Dataset", n: int = 8,
         keep = np.asarray(words, dtype=object)[~covered]
         return " ".join(keep), int(covered.sum())
 
-    if kills.count() <= broadcast_cap:
+    if kills.count() <= _KILL_BROADCAST_ROWS:
         by_doc: dict = {}
         for b in kills.iter_batches(batch_size=None, batch_format="pyarrow"):
             for i, p in zip(b[id_col].to_pylist(), b["pos"].to_pylist()):
@@ -1245,8 +1260,6 @@ def decontaminate_ngrams(train: "ray.data.Dataset",
                          eval_ds: "ray.data.Dataset", n: int = 3,
                          id_col: str = "doc_id", col: str = "text",
                          mode: str = "mark",
-                         broadcast_limit: int = 5_000_000,
-                         eval_broadcast_bytes: int = 256 << 20,
                          num_buckets: int = 64) -> "ray.data.Dataset":
     """Benchmark decontamination (GPT-3 appendix-C style): a train doc is
     contaminated if it shares ANY word ``n``-gram with the eval set.
@@ -1255,13 +1268,13 @@ def decontaminate_ngrams(train: "ray.data.Dataset",
 
     Shuffle shape: eval sets are benchmarks — small by construction — so
     the primary path broadcasts their sorted distinct grams (one driver
-    collect under ``eval_broadcast_bytes``, no shuffle) and the train
+    collect under ``_EVAL_BROADCAST_BYTES``, no shuffle) and the train
     side, the 100-TB side, gets two pure map passes (exact searchsorted
     membership; contaminated ids fold per batch). Beyond the guard the
     distributed shape takes over: distinct eval grams, a Bloom
     runtime-filter pruning train gram rows MAP-SIDE before the one
     gram-keyed exact semi join (the Spark runtime-filter pattern), and a
-    broadcast (or co-grouped, above ``broadcast_limit``) contaminated-id
+    broadcast (or co-grouped, above ``_ID_BROADCAST_ROWS``) contaminated-id
     mark/drop. Exact string grams decide membership on every path, so
     there are no false positives at any scale."""
     import ray
@@ -1288,7 +1301,7 @@ def decontaminate_ngrams(train: "ray.data.Dataset",
         g = bt["gram"].combine_chunks()
         gram_chunks.append(g)
         gbytes += g.nbytes
-        if gbytes > eval_broadcast_bytes:
+        if gbytes > _EVAL_BROADCAST_BYTES:
             gover = True
             del it
             break
@@ -1358,7 +1371,7 @@ def decontaminate_ngrams(train: "ray.data.Dataset",
     contaminated = distinct_on(hits.select_columns([id_col]), [id_col],
                                num_buckets).materialize()
 
-    if contaminated.count() <= broadcast_limit:
+    if contaminated.count() <= _ID_BROADCAST_ROWS:
         bad = np.sort(np.asarray(
             [r[id_col] for r in contaminated.take_all()], dtype=np.int64))
         ref = ray.put(bad)

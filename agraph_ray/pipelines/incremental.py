@@ -27,7 +27,6 @@ from typing import Dict, Optional, Sequence
 
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import pyarrow.parquet as pq
 
 from ..config import KGConfig
 from ..stages.extract import extract_mentions
@@ -107,12 +106,8 @@ def remove_documents(out_dir: str, conv_ids: Sequence[str],
         drop_tombstoned, batch_format="pyarrow")
     # rewrite the mentions checkpoint (atomic swap), then re-derive
     tmp = mentions_dir + ".tomb"
-    n_left = atomic_write_parquet(surviving, tmp, cfg.min_rows_per_file)
-    if n_left == 0:
-        # no mention survives: write a 0-row file so the checkpoint keeps
-        # its schema (an empty dir has no columns for dedup to read)
-        pq.write_table(pads.dataset(mentions_dir).schema.empty_table(),
-                       os.path.join(tmp, "part-0.parquet"))
+    n_left = atomic_write_parquet(surviving, tmp, cfg.min_rows_per_file,
+                                  pads.dataset(mentions_dir).schema)
     old = mentions_dir + ".old"
     os.rename(mentions_dir, old)
     os.rename(tmp, mentions_dir)

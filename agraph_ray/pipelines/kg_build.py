@@ -20,6 +20,10 @@ Two entry points:
   mention partitions. Relies on the loader contract that shards are
   hash-partitioned by conv_id (our generator guarantees it; a general
   loader gets it from one repartition-by-key pass).
+
+Size constant: ``_INMEM_STORE_SHARE`` (1/4) — :func:`build_kg` dedups
+the in-memory mentions while they take at most this share of the object
+store, else the Parquet checkpoint.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ _TRIPLE_COLS = ["relation_id", "subj", "subj_type", "relation_type", "obj",
 _TRIPLES_SCHEMA = pa.schema(
     [EDGES_SCHEMA.field(c).with_name("pred" if c == "relation_type" else c)
      for c in _TRIPLE_COLS])
+
+_INMEM_STORE_SHARE = 0.25
 
 
 @dataclass
@@ -137,14 +143,13 @@ def _mentions_to_outputs(out_dir: str, cfg: KGConfig,
         lambda t: t.rename_columns(_TRIPLES_SCHEMA.names),
         batch_format="pyarrow")
     writes["triples"] = pool.submit(atomic_write_parquet, tri_out,
-                                    triples_dir, cfg.min_rows_per_file)
+                                    triples_dir, cfg.min_rows_per_file,
+                                    _TRIPLES_SCHEMA)
     tables["triples"] = triples_dir
 
     n_nodes = writes["nodes_exact"].result()
     n_edges = writes["edges_exact"].result()
     n_triples = writes["triples"].result()
-    if n_triples == 0:   # Ray skips the rename on a 0-row block: no columns
-        atomic_write_parquet(_TRIPLES_SCHEMA.empty_table(), triples_dir)
     if metrics is not None:
         metrics["sec_dedup_write"] = round(time.time() - t, 2)
 
@@ -250,19 +255,19 @@ def build_kg(transcripts, out_dir: str, cfg: Optional[KGConfig] = None,
         atomic_write_parquet, mentions, os.path.join(out_dir, "mentions"),
         cfg.min_rows_per_file)
 
-    # Dedup scans the in-memory extract output while it takes under a
-    # quarter of the object store, else the mentions PARQUET checkpoint
-    # (pruned columns). Either way it is one scan for both kinds. The
-    # discriminator is mentions BYTES vs store headroom, not CPU count:
-    # the old wide-cluster measurement (in-memory 94-104 s vs 21 s parquet
-    # at 1.1M turns) was spill-induced — full-width blocks evicted to disk
-    # and read back — while within-store scans are zero-copy. Blocking on
-    # the checkpoint write (big regime only) also makes the dedup phase
-    # restartable from the checkpoint.
+    # Dedup scans the in-memory extract output while it takes at most
+    # _INMEM_STORE_SHARE of the object store, else the mentions PARQUET
+    # checkpoint (pruned columns). Either way it is one scan for both
+    # kinds. The discriminator is mentions BYTES vs store headroom, not
+    # CPU count: the old wide-cluster measurement (in-memory 94-104 s vs
+    # 21 s parquet at 1.1M turns) was spill-induced — full-width blocks
+    # evicted to disk and read back — while within-store scans are
+    # zero-copy. Blocking on the checkpoint write (big regime only) also
+    # makes the dedup phase restartable from the checkpoint.
     import ray as _ray
     store = _ray.cluster_resources().get("object_store_memory", 0) \
         or (4 << 30)
-    if (mentions.size_bytes() or 0) > store / 4:
+    if (mentions.size_bytes() or 0) > store * _INMEM_STORE_SHARE:
         metrics["n_mentions"] = futures["mentions"].result()
         mentions = None   # release the in-memory blocks — the parquet
         #                   checkpoint is now the source of truth
@@ -327,9 +332,7 @@ def run_mention_partitions(shard_paths: Sequence[str], out_dir: str,
                                 pool, got)
         part_dir = os.path.join(out_dir, "mentions", f"part={pid}")
         n_rows = atomic_write_parquet(mentions, part_dir,
-                                      cfg.min_rows_per_file)
-        if n_rows == 0:   # a 0-row write leaves a dir with no schema
-            atomic_write_parquet(MENTIONS_SCHEMA.empty_table(), part_dir)
+                                      cfg.min_rows_per_file, MENTIONS_SCHEMA)
         n_ent = pads.dataset(part_dir, format="parquet").count_rows(
             filter=pc.field("kind") == "entity")
         return {"input_files": files, "input_rows": n_turns,

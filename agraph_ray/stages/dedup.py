@@ -20,6 +20,9 @@ first, so the final merge sees one row per key per batch instead of one
 row per mention — the standard pre-aggregation pattern for hot-key-heavy
 distributions (planted vocabulary entities appear in most conversations).
 :func:`dedup_entities` and :func:`dedup_edges` are its per-kind views.
+
+Size constant: ``_DRIVER_MERGE_BYTES`` (48 MB) — combined partials up to
+it merge on the driver, larger ones in one bucketed reduce.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ ENTITY_PARTIAL_SCHEMA = pa.schema([
     # string form made the final single-task merge 4.3 s of serial wall
     # at 128k convs; the int unions/nunique below are pure lexsort/
     # reduceat numpy). Bounded by the entity's true conversation
-    # fan-out; dedup_both's byte caps route oversized lineage to the
-    # distributed bucketed path automatically. For
+    # fan-out; dedup_both's _DRIVER_MERGE_BYTES routes oversized lineage
+    # to the bucketed reduce automatically. For
     # sketch-bounded state at extreme fan-out see
     # ops.sketch.hll_count_distinct.
     ("conv_ids", pa.list_(pa.int64())),
@@ -298,20 +301,22 @@ def _merge_entities_bucket(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _precombine(partials: "ray.data.Dataset", combiner,
-                width: int = 64) -> "ray.data.Dataset":
-    """Second-level combine ahead of the bucketed all-to-all: re-merge
-    the (materialized) partials into ~``width`` coalesced batches so
-    the shuffle moves ~vocabulary x width rows instead of vocabulary x
-    num_blocks. Pure batch-size coalescing — no exchange — and the
-    merges are associative, so the reduced result is identical.
-    ``width`` floors at num_blocks/8 so a task never coalesces more
-    than ~8 input blocks — bounded memory at any corpus size."""
+                width: int = 64) -> "ray.data.MaterializedDataset":
+    """Second-level combine over the materialized partials: re-merge
+    them into ~``width`` coalesced batches so the final merge sees
+    ~vocabulary x width rows instead of vocabulary x num_blocks. Pure
+    batch-size coalescing — no exchange — and the merges are
+    associative, so the reduced result is identical. ``width`` floors
+    at num_blocks/8 so a task never coalesces more than ~8 input blocks
+    — bounded memory at any corpus size. Few blocks or rows return the
+    partials as they are, without an execution."""
     n = partials.count()
     nb = partials.num_blocks()
     width = max(width, nb // 8)
     if nb > 2 * width and n > 8 * width:
         return partials.map_batches(combiner, batch_format="pyarrow",
-                                    batch_size=max(1, n // width))
+                                    batch_size=max(1, n // width)
+                                    ).materialize()
     return partials
 
 
@@ -393,13 +398,19 @@ def merge_edges_bucket(df: pd.DataFrame,
 # Exact dedup: both kinds in one scan of the mentions blocks
 # ---------------------------------------------------------------------------
 # One map over the mentions blocks emits a kind-tagged union of entity and
-# edge partials, one bounded re-combine (~combine_width tasks), and — while
-# the combined partials are dictionary-sized (driver_cap) — both merges
-# finish on the driver from `to_arrow_refs` (a few MB; the same associative
-# merge functions, so the result is partition-invariant — pinned against a
-# one-pass reference by test_dedup_both_equals_per_kind). Above driver_cap
-# each side finishes with the repartition(1) single-task merge; above
-# cap_bytes both kinds finish in one composite-key bucketed reduce.
+# edge partials and one bounded re-combine (_precombine) shrinks them.
+# Combined partials up to _DRIVER_MERGE_BYTES finish on the driver from
+# `to_arrow_refs`; larger ones finish in one composite-key bucketed reduce
+# keyed (kind, norm_name|relation_id), where every partial of a key lands
+# in one bucket. Both sides run the same associative merge functions, so
+# the result is partition-invariant — pinned against a one-pass reference
+# by test_dedup_both_equals_per_kind, on both sides.
+#
+# Raising the cap instead costs the driver ~5x the partials' bytes (137
+# MB of partials: driver max RSS ~180 → ~950 MB), and past the cap the
+# bucketed reduce is the side that gains with width: on a 4-vCPU VM, 797k
+# partial rows took 0.54-0.64 of a single-task merge's time at 4 Ray CPUs
+# but 1.2-1.6x at 1 Ray CPU — BASELINE.md, "Size sides are constants".
 #
 # This is the only exact-dedup orchestration: in-memory mentions and the
 # Parquet checkpoint are both scanned once for both kinds. Against the
@@ -408,6 +419,8 @@ def merge_edges_bucket(df: pd.DataFrame,
 # 1.34-1.53 vs 1.17-1.47 s at 4 Ray CPUs (804k rows in 30 small blocks,
 # where the per-batch partials pay per-block overhead) — BASELINE.md,
 # "One exact-dedup path".
+
+_DRIVER_MERGE_BYTES = 48 << 20
 
 _EDGE_ONLY = ["relation_id", "head_id", "tail_id", "relation_type",
               "subj", "obj", "subj_type", "obj_type"]
@@ -492,85 +505,18 @@ def _final_table(df: pd.DataFrame, merge_df, schema: pa.Schema) -> pa.Table:
                                 ).replace_schema_metadata(None)
 
 
-def dedup_both(mentions: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
-               cap_bytes: int = 512 << 20, driver_cap: int = 48 << 20,
-               combine_width: int = 16):
-    """mentions → (nodes, edges) via the fused single-scan path; a
-    partial volume above ``cap_bytes`` finishes with one composite-key
-    bucketed reduce over both kinds instead of the single-task merges."""
+def dedup_both(mentions: "ray.data.Dataset", cfg: Optional[KGConfig] = None):
+    """mentions → (nodes, edges): one partial pass over the mentions, one
+    :func:`_precombine`, then one size decision on the combined partials
+    (see the note above)."""
     import ray
     import ray.data as rd
     import pyarrow.compute as pc
 
-    union = mentions.map_batches(_fused_partial,
-                                 batch_format="pyarrow").materialize()
-    if (union.size_bytes() or 0) > cap_bytes:
-        # Partial volume beyond the single-task caps: CONTINUE from the
-        # already-materialized partials with ONE composite-key bucketed
-        # reduce over BOTH kinds — keyed (kind, norm_name|relation_id),
-        # every partial of a key lands in one bucket, where each kind's
-        # (associative, invariance-tested) bucket merge is the final
-        # merge. The earlier per-kind pair scanned the multi-GB union
-        # TWICE (one filter pass per kind) through two separate
-        # shuffles; the per-kind split now scans only the reduced output
-        # (|nodes|+|edges|, orders of magnitude smaller). Local A/B at
-        # 42.7M partials / 9.3 GB is wall-neutral (45.9 s vs 46 s — the
-        # saved scan reads page-cached local parquet); the win is one
-        # fewer all-to-all barrier and one fewer full pass where the
-        # union actually costs I/O (remote storage, spilled blocks).
-        from .common import bucketed_group_reduce
-
-        node_names = [f.name for f in NODES_SCHEMA]
-        edge_only = [n for n in _EDGE_NAMES if n not in node_names]
-        fused_red = pa.schema([("kind", pa.string())]
-                              + list(NODES_SCHEMA)
-                              + [EDGES_SCHEMA.field(n) for n in edge_only])
-        all_names = [f.name for f in fused_red]
-
-        def both_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-            import pandas as _pd
-            outs = []
-            for kind, names, merge_df in (
-                    ("entity", _ENT_NAMES, _merge_entities_bucket),
-                    ("triple", _EDGE_NAMES, merge_edges_bucket)):
-                part = df[df["kind"] == kind]
-                if len(part) == 0:
-                    continue
-                o = merge_df(part[names]).copy()
-                # absent columns as object-None (a float reindex would
-                # put NaN into int64/list fields and break the cast)
-                for c in all_names:
-                    if c not in o.columns:
-                        o[c] = _pd.Series([None] * len(o), dtype=object)
-                o["kind"] = kind
-                outs.append(o[all_names])
-            if not outs:
-                return _pd.DataFrame(columns=all_names)
-            return _pd.concat(outs, ignore_index=True)
-
-        # key on the raw (kind, norm_name, relation_id) tuple — exactly
-        # one of the two key columns is non-null per kind, so equal
-        # logical keys hash equal with NO extra key-derivation pass over
-        # the multi-GB union
-        reduced = bucketed_group_reduce(
-            _precombine(union, _fused_combine),
-            ["kind", "norm_name", "relation_id"], both_bucket,
-            schema=fused_red).materialize()
-
-        def pick(kind, names, schema):
-            def f(t: pa.Table, k=kind, ns=names, s=schema) -> pa.Table:
-                return t.filter(pc.equal(t["kind"], k)).select(ns).cast(s)
-            return reduced.map_batches(f, batch_format="pyarrow")
-
-        return (pick("entity", node_names, NODES_SCHEMA),
-                pick("triple", _EDGE_NAMES, EDGES_SCHEMA))
-    comb = union
-    n = union.count()
-    if union.num_blocks() > 2 * combine_width and n > 8 * combine_width:
-        comb = union.map_batches(
-            _fused_combine, batch_format="pyarrow",
-            batch_size=max(1, n // combine_width)).materialize()
-    if (comb.size_bytes() or 0) <= driver_cap:
+    comb = _precombine(mentions.map_batches(
+        _fused_partial, batch_format="pyarrow").materialize(),
+        _fused_combine)
+    if (comb.size_bytes() or 0) <= _DRIVER_MERGE_BYTES:
         refs = [t for t in ray.get(comb.to_arrow_refs()) if t.num_rows]
         tbl = pa.concat_tables(refs) if refs \
             else FUSED_PARTIAL_SCHEMA.empty_table()
@@ -582,19 +528,51 @@ def dedup_both(mentions: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
             edg.select(_EDGE_NAMES).to_pandas(), merge_edges_bucket,
             EDGES_SCHEMA))
         return nodes, edges
-    # mid regime: combined partials too big for the driver — finish each
-    # side with the single-task merge (still one mentions scan total)
-    def _side(names, merge_df, schema, kind):
-        side = comb.map_batches(
-            lambda t, k=kind, ns=names: t.filter(
-                pc.equal(t["kind"], k)).select(ns),
-            batch_format="pyarrow")
-        return side.repartition(1).map_batches(
-            lambda t, m=merge_df, s=schema: _final_table(t.to_pandas(), m, s),
-            batch_format="pyarrow", batch_size=None)
-    return (_side(_ENT_NAMES, _merge_entities_bucket, NODES_SCHEMA,
-                  "entity"),
-            _side(_EDGE_NAMES, merge_edges_bucket, EDGES_SCHEMA, "triple"))
+
+    from .common import bucketed_group_reduce
+
+    node_names = [f.name for f in NODES_SCHEMA]
+    edge_only = [n for n in _EDGE_NAMES if n not in node_names]
+    fused_red = pa.schema([("kind", pa.string())]
+                          + list(NODES_SCHEMA)
+                          + [EDGES_SCHEMA.field(n) for n in edge_only])
+    all_names = [f.name for f in fused_red]
+
+    def both_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
+        import pandas as _pd
+        outs = []
+        for kind, names, merge_df in (
+                ("entity", _ENT_NAMES, _merge_entities_bucket),
+                ("triple", _EDGE_NAMES, merge_edges_bucket)):
+            part = df[df["kind"] == kind]
+            if len(part) == 0:
+                continue
+            o = merge_df(part[names]).copy()
+            # absent columns as object-None (a float reindex would
+            # put NaN into int64/list fields and break the cast)
+            for c in all_names:
+                if c not in o.columns:
+                    o[c] = _pd.Series([None] * len(o), dtype=object)
+            o["kind"] = kind
+            outs.append(o[all_names])
+        if not outs:
+            return _pd.DataFrame(columns=all_names)
+        return _pd.concat(outs, ignore_index=True)
+
+    # key on the raw (kind, norm_name, relation_id) tuple — exactly one
+    # of the two key columns is non-null per kind, so equal logical keys
+    # hash equal with NO extra key-derivation pass over the partials
+    reduced = bucketed_group_reduce(
+        comb, ["kind", "norm_name", "relation_id"], both_bucket,
+        schema=fused_red).materialize()
+
+    def pick(kind, names, schema):
+        def f(t: pa.Table, k=kind, ns=names, s=schema) -> pa.Table:
+            return t.filter(pc.equal(t["kind"], k)).select(ns).cast(s)
+        return reduced.map_batches(f, batch_format="pyarrow")
+
+    return (pick("entity", node_names, NODES_SCHEMA),
+            pick("triple", _EDGE_NAMES, EDGES_SCHEMA))
 
 
 def _as_kind(mentions: "ray.data.Dataset", kind: str) -> "ray.data.Dataset":

@@ -17,6 +17,10 @@ the pipeline run extraction exactly once, checkpoint it as one Parquet
 dataset, and serve both the node branch and the edge branch with
 predicate-pushdown reads — no double execution, no mid-pipeline
 materialization.
+
+Size constant: ``_BRANCH_OVERLAP_BYTES`` (64 MB of materialized docs) —
+above it :func:`extract_mentions` runs its small-doc and hot-doc branches
+as two thread-overlapped executions instead of one fused union.
 """
 
 from __future__ import annotations
@@ -174,9 +178,6 @@ class ExtractStage:
         return pa.Table.from_arrays(arrays, schema=MENTIONS_SCHEMA)
 
 
-# docs-bytes threshold above which the small/big extraction branches run
-# as two thread-overlapped executions instead of one fused union — see
-# extract_mentions; module-level so tests can pin either path
 _BRANCH_OVERLAP_BYTES = 64 << 20
 
 
@@ -205,19 +206,16 @@ def extract_mentions(docs: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
     critical path.
     Elastic tasks let Ray interleave both streams over every core, over
     ``4 x cluster CPUs`` blocks: enough to even out skew, few enough that
-    per-task cost stays below the work.
+    per-task cost stays below the work. A pre-built ``engine`` takes the
+    same plan, shipped to the tasks inside the closure.
     """
     import pyarrow.compute as pc
     cfg = cfg or KGConfig()
-    if engine is not None:   # pre-built engine (tests): single task path
-        stage = ExtractStage(cfg, engine)
-        return docs.map_batches(stage, batch_format="pyarrow",
-                                batch_size=cfg.extract_batch_size)
-
     th, kw = cfg.confidence_threshold, cfg.max_keywords
+    stage = None if engine is None else ExtractStage(cfg, engine)
 
     def run(t: pa.Table) -> pa.Table:
-        return _worker_stage(th, kw)(t)
+        return (_worker_stage(th, kw) if stage is None else stage)(t)
 
     thresh = int(cfg.hot_doc_turns)
     # ~4 blocks per CPU, no floor: docs arrive in as many blocks as the

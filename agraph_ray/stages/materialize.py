@@ -97,15 +97,18 @@ def commit_manifest(out_dir: str, stage: str, partition_id: Any,
 
 
 def atomic_write_parquet(ds, final_dir: str,
-                         min_rows_per_file: int = 200_000) -> int:
+                         min_rows_per_file: int = 200_000,
+                         schema=None) -> int:
     """Stream ``ds`` (a Dataset, or a pyarrow Table for driver-sized
     results) to a temp sibling dir, then rename into place.
 
-    Returns the number of rows written. A crash mid-write leaves only the
-    temp dir (ignored by readers and cleaned on retry), never a torn final
-    directory. The pyarrow-Table path skips the whole-cluster execution a
-    Dataset write costs — meaningful when a pipeline ends in several
-    dictionary-sized artifacts.
+    Returns the number of rows written. A Dataset write of 0 rows leaves
+    one 0-row file with ``schema`` (default: the schema a materialized
+    ``ds`` already knows), so readers still see the columns. A crash
+    mid-write leaves only the temp dir (ignored by readers and cleaned on
+    retry), never a torn final directory. The pyarrow-Table path skips
+    the whole-cluster execution a Dataset write costs — meaningful when a
+    pipeline ends in several dictionary-sized artifacts.
     """
     import glob as _glob
 
@@ -128,17 +131,22 @@ def atomic_write_parquet(ds, final_dir: str,
             ds.write_parquet(tmp, min_rows_per_file=min_rows_per_file)
         except TypeError:  # older Ray releases use num_rows_per_file
             ds.write_parquet(tmp, num_rows_per_file=min_rows_per_file)
-        # a zero-block dataset writes nothing at all — an empty directory
-        # is still a valid (0-row) artifact and keeps the rename atomic.
-        # A materialized dataset knows its schema without executing
-        # anything: keep it in a 0-row file so readers still see columns.
+        # a 0-row dataset writes no file (Ray skips the UDFs of a 0-row
+        # block, so not even the columns survive); an empty directory is
+        # still a valid artifact and keeps the rename atomic. A
+        # materialized dataset knows its schema without executing
+        # anything.
         os.makedirs(tmp, exist_ok=True)
-        schema = None if os.listdir(tmp) \
-            else ds.schema(fetch_if_missing=False)
-        if schema is not None and isinstance(schema.base_schema, pa.Schema):
-            import pyarrow.parquet as pq
-            pq.write_table(schema.base_schema.empty_table(),
-                           os.path.join(tmp, "part-0.parquet"))
+        if not os.listdir(tmp):
+            if schema is None:
+                known = ds.schema(fetch_if_missing=False)
+                if known is not None \
+                        and isinstance(known.base_schema, pa.Schema):
+                    schema = known.base_schema
+            if schema is not None:
+                import pyarrow.parquet as pq
+                pq.write_table(schema.empty_table(),
+                               os.path.join(tmp, "part-0.parquet"))
     if os.path.exists(final_dir):
         shutil.rmtree(final_dir)
     os.replace(tmp, final_dir)

@@ -65,15 +65,9 @@ def find_hot_conversations(ds: "ray.data.Dataset", cfg: KGConfig) -> Set[str]:
     return out
 
 
-def reassemble(ds: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
-               hot_convs: Optional[Set[str]] = None,
-               detect_hot: bool = True) -> "ray.data.Dataset":
-    """Reassemble conversations into documents (see module docstring).
-
-    ``hot_convs`` may be passed explicitly (e.g. from a previous run's
-    metrics); otherwise it is detected with :func:`find_hot_conversations`
-    when ``detect_hot`` is set.
-    """
+def reassemble(ds: "ray.data.Dataset",
+               cfg: Optional[KGConfig] = None) -> "ray.data.Dataset":
+    """Reassemble conversations into documents (see module docstring)."""
     cfg = cfg or KGConfig()
     span = int(cfg.salt_span)
     sep = cfg.turn_separator
@@ -84,8 +78,7 @@ def reassemble(ds: "ray.data.Dataset", cfg: Optional[KGConfig] = None,
     # conversation splits into turns/span independent groups automatically.
     # No hot-key detection pre-pass needed (the previous design scanned the
     # WHOLE input once just to count turns per conv — a full extra pass
-    # over 100 TB). ``hot_convs``/``detect_hot`` are kept for API compat
-    # but unused.
+    # over 100 TB).
     def add_group_key(batch: pa.Table) -> pa.Table:
         salt = pc.divide(batch["turn_idx"], span)
         key = pc.binary_join_element_wise(

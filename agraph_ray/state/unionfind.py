@@ -23,6 +23,9 @@ O(log component-diameter) (a 10k-node chain converges in ~14 rounds, not
 splitting components. Only edge-incident nodes participate — every other
 entity is a singleton by definition — so the shuffle volume is bounded by
 the match-edge set, not the corpus.
+
+Size constant: ``_DRIVER_EDGES`` (2M symmetric edges) — up to it the exact
+:class:`UnionFind` runs on the driver instead of the rounds above.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from typing import Dict
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+_DRIVER_EDGES = 2_000_000
 
 
 def _empty_labels():
@@ -81,12 +86,11 @@ def _driver_union_find(sym_edges) -> "ray.data.Dataset":
 
 
 def connected_components(edges: "ray.data.Dataset",
-                         max_iters: int = 25,
-                         driver_threshold: int = 2_000_000) -> "ray.data.Dataset":
+                         max_iters: int = 25) -> "ray.data.Dataset":
     """``edges(src, dst)`` (undirected pairs) → ``(node, label)`` with
     label = min node id in the component. Nodes in no edge are absent.
 
-    Size-adaptive: below ``driver_threshold`` symmetric edges the exact
+    Size-adaptive: up to ``_DRIVER_EDGES`` symmetric edges the exact
     union-find runs on the driver in one pass (a label-propagation round
     costs several whole-cluster executions — pure overhead for a
     few-thousand-edge match graph); above it, the distributed min-label
@@ -110,7 +114,7 @@ def connected_components(edges: "ray.data.Dataset",
     n_edges = sym_edges.count()
     if n_edges == 0:
         return _empty_labels()
-    if n_edges <= driver_threshold:
+    if n_edges <= _DRIVER_EDGES:
         return _driver_union_find(sym_edges)
 
     from ..stages.common import bucketed_group_reduce

@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import os
 import shutil
 
@@ -17,6 +19,25 @@ def ray_session():
     DataContext.get_current().enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def force_side():
+    """``force_side(module, NAME=value, ...)`` is a context manager that
+    sets size constants of the module named ``module`` (dotted path) for
+    its body, e.g. ``with force_side("agraph_ray.ops.join",
+    _BROADCAST_JOIN_ROWS=0):`` sends ``auto_join`` to its co-group side.
+    A name the module lacks raises, so a renamed constant cannot leave a
+    test on the default side. Only decisions made on the driver see the
+    value: a Ray worker imports its own copy of the module."""
+    @contextlib.contextmanager
+    def force(module: str, **constants):
+        mod = importlib.import_module(module)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in constants.items():
+                mp.setattr(mod, name, value)
+            yield
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,7 @@ DRIVER = textwrap.dedent("""
     real_write = mat.atomic_write_parquet
     real_commit = mat.commit_manifest
 
-    def chaos_write(ds, final_dir, min_rows_per_file=200_000):
+    def chaos_write(ds, final_dir, min_rows_per_file=200_000, schema=None):
         part = os.path.basename(final_dir.rstrip("/"))
         if part == f"part={{kill_pid}}":
             if kill_point == "mid_write":
@@ -61,7 +61,7 @@ DRIVER = textwrap.dedent("""
                 except TypeError:
                     ds.write_parquet(tmp, num_rows_per_file=min_rows_per_file)
                 os._exit({kill_exit})
-        return real_write(ds, final_dir, min_rows_per_file)
+        return real_write(ds, final_dir, min_rows_per_file, schema)
 
     def chaos_commit(out_dir, stage, partition_id, metrics):
         if kill_point == "pre_commit" and stage == "mentions" \\

@@ -44,9 +44,9 @@ def test_ngram_jaccard_pairs_distributed(ray_session):
     assert all(j > 0.7 for j in pairs.values())
 
 
-def test_jaccard_verify_semi_join_paths_agree(ray_session):
+def test_jaccard_verify_semi_join_paths_agree(ray_session, force_side):
     """The semi-join shingle filter (default) and the full-shuffle fallback
-    (semi_join_cap=0 forces it) score identical pairs."""
+    (_SEMI_JOIN_IDS=0 forces it) score identical pairs."""
     import ray.data as rd
     from agraph_ray.ops.dedup import (MinHashSigner, _jaccard_scored_pairs,
                                       minhash_lsh_groups)
@@ -54,22 +54,25 @@ def test_jaccard_verify_semi_join_paths_agree(ray_session):
     cand = minhash_lsh_groups(texts, dedup=False)
     signer = MinHashSigner()
 
-    def rows(cap):
-        out = _jaccard_scored_pairs(texts, cand, signer, "doc_id", "text",
-                                    semi_join_cap=cap).to_pandas()
+    def rows(**forced):
+        with force_side("agraph_ray.ops.dedup", **forced):
+            out = _jaccard_scored_pairs(texts, cand, signer, "doc_id",
+                                        "text").to_pandas()
         return sorted((a, b, round(j, 9)) for a, b, j in
                       zip(out["a"], out["b"], out["jaccard"]))
 
-    filtered, full = rows(20_000_000), rows(0)
+    filtered, full = rows(), rows(_SEMI_JOIN_IDS=0)
     assert filtered == full and filtered, "paths diverged or found nothing"
 
 
-def test_jaccard_verify_broadcast_and_shuffle_regimes_agree(ray_session):
+def test_jaccard_verify_broadcast_and_shuffle_regimes_agree(ray_session,
+                                                            force_side):
     """The r3 candidate-only shingle-broadcast fast path (default for
     small candidate sets) must score identically to the two-shuffle
     regime, under every forced fallback: ids-cap overflow (the pinned
     >200k-doc no-broadcast behavior), bytes-guard overflow mid-collect,
-    and the semi-join-cap overflow that disables both reductions."""
+    and the semi-join-cap overflow that disables both reductions; and
+    its driver scoring identically to its per-batch scoring."""
     import ray.data as rd
     from agraph_ray.ops.dedup import (MinHashSigner, _jaccard_scored_pairs,
                                       minhash_lsh_groups)
@@ -77,17 +80,19 @@ def test_jaccard_verify_broadcast_and_shuffle_regimes_agree(ray_session):
     cand = minhash_lsh_groups(texts, dedup=False)
     signer = MinHashSigner()
 
-    def rows(**kw):
-        out = _jaccard_scored_pairs(texts, cand, signer, "doc_id", "text",
-                                    **kw).to_pandas()
+    def rows(**forced):
+        with force_side("agraph_ray.ops.dedup", **forced):
+            out = _jaccard_scored_pairs(texts, cand, signer, "doc_id",
+                                        "text").to_pandas()
         return sorted((a, b, round(j, 9)) for a, b, j in
                       zip(out["a"], out["b"], out["jaccard"]))
 
     broadcast = rows()
-    no_bcast_ids = rows(broadcast_ids_cap=0)
-    no_bcast_bytes = rows(broadcast_bytes_cap=0)
-    no_semi = rows(semi_join_cap=0)
-    assert broadcast == no_bcast_ids == no_bcast_bytes == no_semi
+    no_bcast_ids = rows(_BROADCAST_IDS=0)
+    no_bcast_bytes = rows(_BROADCAST_BYTES=0)
+    no_semi = rows(_SEMI_JOIN_IDS=0)
+    mapped = rows(_DRIVER_SCORE_PAIRS=0)
+    assert broadcast == no_bcast_ids == no_bcast_bytes == no_semi == mapped
     assert broadcast, "found nothing"
 
 
@@ -244,10 +249,12 @@ def test_cdc_chunking_shift_invariance(ray_session):
     pd.testing.assert_frame_equal(out, out2)
 
 
-def test_line_dedup_broadcast_and_antijoin_paths_agree(ray_session):
+def test_line_dedup_broadcast_and_antijoin_paths_agree(ray_session,
+                                                       force_side):
     """Corpus-level first-occurrence turn dedup: the kill-list broadcast
-    path and the beyond-cap anti-join path (broadcast_cap=0) keep exactly
-    the same (conv_id, turn_idx) winners — min lexicographic per text."""
+    path and the beyond-cap anti-join path (_KILL_BROADCAST_ROWS=0) keep
+    exactly the same (conv_id, turn_idx) winners — min lexicographic per
+    text."""
     import pandas as pd
     import ray.data as rd
     from agraph_ray.ops.dedup import line_dedup
@@ -266,7 +273,8 @@ def test_line_dedup_broadcast_and_antijoin_paths_agree(ray_session):
         return sorted(zip(df["conv_id"], df["turn_idx"]))
 
     got_b = key_set(line_dedup(ds))
-    got_a = key_set(line_dedup(ds, broadcast_cap=0))
+    with force_side("agraph_ray.ops.dedup", _KILL_BROADCAST_ROWS=0):
+        got_a = key_set(line_dedup(ds))
     # pandas reference: first (conv_id, turn_idx) per distinct text
     ref = (pd.DataFrame(rows).sort_values(["conv_id", "turn_idx"])
            .drop_duplicates("text", keep="first"))
@@ -275,7 +283,7 @@ def test_line_dedup_broadcast_and_antijoin_paths_agree(ray_session):
     assert got_a == want
 
 
-def test_remove_duplicate_spans_paths_and_semantics(ray_session):
+def test_remove_duplicate_spans_paths_and_semantics(ray_session, force_side):
     """Duplicated 4-gram spans are cut, uniques survive; broadcast and
     beyond-cap co-group rebuild paths produce identical output."""
     import pandas as pd
@@ -290,20 +298,20 @@ def test_remove_duplicate_spans_paths_and_semantics(ray_session):
                  "totally unique text with no repeats at all"]})
     ds = rd.from_pandas(df).repartition(2)
 
-    def run(cap):
-        out = remove_duplicate_spans(ds, n=4, min_count=2,
-                                     broadcast_cap=cap).to_pandas()
+    def run(**forced):
+        with force_side("agraph_ray.ops.text", **forced):
+            out = remove_duplicate_spans(ds, n=4, min_count=2).to_pandas()
         return out.sort_values("doc_id").reset_index(drop=True)
 
-    got = run(2_000_000)
+    got = run()
     assert got.loc[0, "text"] == "intro one tail zero"
     assert got.loc[1, "text"] == "other words here closing bits now"
     assert got.loc[2, "text"] == df.loc[2, "text"]
     assert got["n_removed"].tolist() == [4, 4, 0]
-    pd.testing.assert_frame_equal(got, run(0))
+    pd.testing.assert_frame_equal(got, run(_KILL_BROADCAST_ROWS=0))
 
 
-def test_neardedup_against(ray_session):
+def test_neardedup_against(ray_session, force_side):
     """New docs near-duplicating an existing doc (J>=0.7) are dropped;
     novel new docs and exact-id survivors pass; existing side untouched."""
     import pandas as pd
@@ -331,9 +339,9 @@ def test_neardedup_against(ray_session):
                              jaccard_threshold=0.99).to_pandas()
     assert sorted(out2["doc_id"]) == [1, 2, 3]
     # beyond-cap anti-join path keeps the same survivors
-    out3 = neardedup_against(rd.from_pandas(new), rd.from_pandas(old),
-                             jaccard_threshold=0.7,
-                             broadcast_cap=0).to_pandas()
+    with force_side("agraph_ray.ops.dedup", _KILL_BROADCAST_ROWS=0):
+        out3 = neardedup_against(rd.from_pandas(new), rd.from_pandas(old),
+                                 jaccard_threshold=0.7).to_pandas()
     assert sorted(out3["doc_id"]) == [2]
 
 

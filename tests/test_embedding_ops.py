@@ -95,7 +95,7 @@ def test_embedding_pca_recovers_planted_axis(ray_session):
     assert np.allclose(got, want, atol=1e-8)
 
 
-def test_embedding_join_sharded_equals_broadcast(ray_session):
+def test_embedding_join_sharded_equals_broadcast(ray_session, force_side):
     import numpy as np
     import ray.data as rd
     from agraph_ray.ops.similarity import embedding_join
@@ -106,8 +106,9 @@ def test_embedding_join_sharded_equals_broadcast(ray_session):
     db = rd.from_pandas(b[["vec_id", "embedding"]])
     wide = embedding_join(da, db, k=4).to_pandas() \
         .sort_values(["a_id", "rank"]).reset_index(drop=True)
-    shard = embedding_join(da, db, k=4, broadcast_cap=25).to_pandas() \
-        .sort_values(["a_id", "rank"]).reset_index(drop=True)
+    with force_side("agraph_ray.ops.similarity", _INDEX_BROADCAST_ROWS=25):
+        shard = embedding_join(da, db, k=4).to_pandas() \
+            .sort_values(["a_id", "rank"]).reset_index(drop=True)
     assert (wide["a_id"] == shard["a_id"]).all()
     assert (wide["b_id"] == shard["b_id"]).all()
     assert (wide["rank"] == shard["rank"]).all()

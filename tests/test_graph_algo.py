@@ -8,6 +8,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+GA = "agraph_ray.ops.graph_algo"
+
 
 def _random_edges(n_nodes: int, n_edges: int, seed: int) -> pd.DataFrame:
     rng = np.random.default_rng(seed)
@@ -63,14 +65,14 @@ def test_triangle_counts_vs_brute(ray_session):
     assert got == exp
 
 
-def test_triangle_counts_shuffle_join_path(ray_session):
-    """deg_broadcast_cap=0 forces the cogroup-join degree attachment."""
+def test_triangle_counts_shuffle_join_path(ray_session, force_side):
+    """_BROADCAST_ROWS=0 forces the cogroup-join degree attachment."""
     import ray.data as rd
     from agraph_ray.ops.graph_algo import triangle_counts
     df = _random_edges(40, 200, seed=9)
     exp = _brute_triangles(df)
-    out = triangle_counts(rd.from_pandas(df),
-                          deg_broadcast_cap=0).to_pandas()
+    with force_side(GA, _BROADCAST_ROWS=0):
+        out = triangle_counts(rd.from_pandas(df)).to_pandas()
     got = dict(zip(out["node"], out["n_tri"]))
     assert got == exp
 
@@ -106,8 +108,8 @@ def test_pagerank_driver_path(ray_session):
     assert abs(sum(got.values()) - 1.0) < 1e-9
 
 
-def test_pagerank_distributed_matches_driver(ray_session):
-    """driver_threshold=0 forces the shuffle rounds; ranks must match the
+def test_pagerank_distributed_matches_driver(ray_session, force_side):
+    """_DRIVER_EDGES=0 forces the shuffle rounds; ranks must match the
     dense reference (dangling nodes included)."""
     import ray.data as rd
     from agraph_ray.ops.graph_algo import pagerank
@@ -116,8 +118,9 @@ def test_pagerank_distributed_matches_driver(ray_session):
     df = pd.DataFrame({"src": rng.integers(0, 50, 300),
                        "dst": rng.integers(0, 55, 300)})
     exp = _dense_pagerank(df, 0.85, 8)
-    out = pagerank(rd.from_pandas(df), damping=0.85, iters=8,
-                   round_to=None, driver_threshold=0).to_pandas()
+    with force_side(GA, _DRIVER_EDGES=0):
+        out = pagerank(rd.from_pandas(df), damping=0.85, iters=8,
+                       round_to=None).to_pandas()
     got = dict(zip(out["node"], out["rank"]))
     assert set(got) == set(exp)
     for k in exp:
@@ -140,7 +143,7 @@ def _brute_k_core(df: pd.DataFrame, k: int) -> dict:
                  if a not in bad and b not in bad}
 
 
-def test_k_core_both_paths(ray_session):
+def test_k_core_both_paths(ray_session, force_side):
     import ray.data as rd
     from agraph_ray.ops.graph_algo import k_core
     df = _random_edges(50, 300, seed=8)
@@ -149,8 +152,9 @@ def test_k_core_both_paths(ray_session):
         got = dict(zip(*(lambda o: (o["node"], o["deg"]))(
             k_core(rd.from_pandas(df), k).to_pandas())))
         assert got == exp, f"driver k={k}"
-        got_d = dict(zip(*(lambda o: (o["node"], o["deg"]))(
-            k_core(rd.from_pandas(df), k, driver_threshold=0).to_pandas())))
+        with force_side(GA, _DRIVER_EDGES=0):
+            got_d = dict(zip(*(lambda o: (o["node"], o["deg"]))(
+                k_core(rd.from_pandas(df), k).to_pandas())))
         assert got_d == exp, f"distributed k={k}"
 
 
@@ -186,7 +190,8 @@ def test_link_prediction_scores_hand_graph(ray_session):
     assert list(out["aa_micro"]) == sorted(out["aa_micro"], reverse=True)
 
 
-def test_link_prediction_join_path_equals_broadcast(ray_session):
+def test_link_prediction_join_path_equals_broadcast(ray_session,
+                                                    force_side):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -196,8 +201,8 @@ def test_link_prediction_join_path_equals_broadcast(ray_session):
                           "p": rng.integers(0, 50, 400)})
     ds = rd.from_pandas(edges)
     b = link_prediction_scores(ds, "s", "p", k=1000).to_pandas()
-    j = link_prediction_scores(ds, "s", "p", k=1000,
-                               broadcast_limit=0).to_pandas()
+    with force_side(GA, _LINK_DEGREE_BROADCAST_ROWS=0):
+        j = link_prediction_scores(ds, "s", "p", k=1000).to_pandas()
     pd.testing.assert_frame_equal(b, j)
 
 
@@ -243,7 +248,7 @@ def test_random_walks_stop_at_sink(ray_session):
     assert list(w1["node"]) == [1, 2, 3]
 
 
-def test_random_walks_distributed_equals_broadcast(ray_session):
+def test_random_walks_distributed_equals_broadcast(ray_session, force_side):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -254,8 +259,8 @@ def test_random_walks_distributed_equals_broadcast(ray_session):
     edges = edges[edges["a"] != edges["b"]]
     ds = rd.from_pandas(edges)
     fast = random_walks(ds, "a", "b", length=4).to_pandas()
-    slow = random_walks(ds, "a", "b", length=4,
-                        adj_broadcast_cap=0).to_pandas()
+    with force_side(GA, _BROADCAST_ROWS=0):
+        slow = random_walks(ds, "a", "b", length=4).to_pandas()
     key = lambda d: sorted(map(tuple, d[["walk_id", "step", "node"]].values))
     assert key(fast) == key(slow)
 
@@ -282,9 +287,10 @@ def _dense_ppr(df, seeds, damping, iters):
     return dict(zip(nodes, r))
 
 
-def test_personalized_pagerank_driver_and_distributed(ray_session):
+def test_personalized_pagerank_driver_and_distributed(ray_session,
+                                                      force_side):
     """PPR teleports to the seed set only; distributed shuffle rounds
-    (driver_threshold=0) match the driver numpy iteration exactly."""
+    (_DRIVER_EDGES=0) match the driver numpy iteration exactly."""
     import ray.data as rd
     from agraph_ray.ops.graph_algo import personalized_pagerank
     rng = np.random.default_rng(7)
@@ -292,14 +298,15 @@ def test_personalized_pagerank_driver_and_distributed(ray_session):
                        "dst": rng.integers(0, 45, 250)})
     seeds = [0, 1, 2]
     exp = _dense_ppr(df, seeds, 0.85, 8)
-    for thr in (5_000_000, 0):
-        out = personalized_pagerank(rd.from_pandas(df), seeds,
-                                    damping=0.85, iters=8, round_to=None,
-                                    driver_threshold=thr).to_pandas()
+    for forced in ({}, {"_DRIVER_EDGES": 0}):
+        with force_side(GA, **forced):
+            out = personalized_pagerank(rd.from_pandas(df), seeds,
+                                        damping=0.85, iters=8,
+                                        round_to=None).to_pandas()
         got = dict(zip(out["node"], out["rank"]))
         assert set(got) == set(exp)
         for k in exp:
-            assert abs(got[k] - exp[k]) < 1e-9, (thr, k)
+            assert abs(got[k] - exp[k]) < 1e-9, (forced, k)
         # mass concentrates near the seeds: every seed outranks the median
         med = float(np.median(list(got.values())))
         assert all(got[s] > med for s in seeds)

@@ -227,22 +227,15 @@ def test_inv_link_entities(ray_session):
         lambda ds: link_entities(ds, KGConfig(), num_buckets=8))
 
 
-def _force_large_side(monkeypatch):
-    """Send canonicalize's map and rewrite to their distributed sides."""
-    import importlib
-    # agraph_ray.stages re-exports the canonicalize function under the
-    # module's own name, so fetch the module itself
-    canon = importlib.import_module("agraph_ray.stages.canonicalize")
-    monkeypatch.setattr(canon, "_MAP_DRIVER_NODES", 0)
-    monkeypatch.setattr(canon, "_REWRITE_DRIVER_ROWS", 0)
+# canonicalize's map and rewrite on their distributed sides
+_CANON = "agraph_ray.stages.canonicalize"
+_CANON_LARGE = {"_MAP_DRIVER_NODES": 0, "_REWRITE_DRIVER_ROWS": 0}
 
 
 @pytest.mark.parametrize("large_side", [False, True],
                          ids=["driver", "distributed"])
-def test_inv_canonicalize(ray_session, monkeypatch, large_side):
+def test_inv_canonicalize(ray_session, force_side, large_side):
     from agraph_ray.stages.canonicalize import canonicalize
-    if large_side:
-        _force_large_side(monkeypatch)
     nodes = _nodes_df()
 
     def op(nds, eds):
@@ -250,10 +243,11 @@ def test_inv_canonicalize(ray_session, monkeypatch, large_side):
         cm = pd.DataFrame(sorted(cmap.items()), columns=["src", "root"])
         return cn, ce, cm
 
-    _assert_invariant(lambda: (nodes, _edges_df(nodes)), op)
+    with force_side(_CANON, **(_CANON_LARGE if large_side else {})):
+        _assert_invariant(lambda: (nodes, _edges_df(nodes)), op)
 
 
-def test_inv_canonicalize_driver_equals_distributed(ray_session):
+def test_inv_canonicalize_driver_equals_distributed(ray_session, force_side):
     """The two canonicalize sides agree on the same single-layout input:
     the same 12-entry map, the same nodes and edges."""
     import ray.data as rd
@@ -262,9 +256,7 @@ def test_inv_canonicalize_driver_equals_distributed(ray_session):
     edges = _edges_df(nodes)
     outs = []
     for large_side in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            if large_side:
-                _force_large_side(mp)
+        with force_side(_CANON, **(_CANON_LARGE if large_side else {})):
             cn, ce, cmap = canonicalize(rd.from_pandas([nodes]),
                                         rd.from_pandas([edges]), KGConfig())
         assert isinstance(cn, pa.Table) != large_side
@@ -275,7 +267,8 @@ def test_inv_canonicalize_driver_equals_distributed(ray_session):
     assert outs[0][2] == outs[1][2]
 
 
-def test_apply_external_map_driver_equals_distributed(ray_session):
+def test_apply_external_map_driver_equals_distributed(ray_session,
+                                                      force_side):
     """apply_canonical_map under a map from another linker (the llm_e2e
     judge path): merges across types, a root absent from the nodes,
     self-loops and edge-signature collisions rewrite the same on both
@@ -289,9 +282,7 @@ def test_apply_external_map_driver_equals_distributed(ray_session):
     chunks = dict(_layouts(nodes))["5blk-shuffled"]
     outs = []
     for large_side in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            if large_side:
-                _force_large_side(mp)
+        with force_side(_CANON, **(_CANON_LARGE if large_side else {})):
             cn, ce = apply_canonical_map(_to_ds(chunks), _to_ds([edges]),
                                          cmap)
         assert isinstance(cn, pa.Table) != large_side
@@ -530,15 +521,16 @@ def _mixed_mentions_df() -> pd.DataFrame:
     return both
 
 
-def test_inv_dedup_both_fused(ray_session):
-    """The fused single-scan dedup is partition-invariant in every size
-    regime (driver merge, mid repartition(1) merge, bucketed reduce)."""
+def test_inv_dedup_both_fused(ray_session, force_side):
+    """The fused single-scan dedup is partition-invariant on both sides
+    (driver merge, bucketed reduce)."""
     from agraph_ray.stages.dedup import dedup_both
 
-    for kwargs in ({}, {"driver_cap": 0}, {"cap_bytes": 1}):
-        _assert_invariant(
-            lambda: (_mixed_mentions_df(),),
-            lambda ds: dedup_both(ds, KGConfig(), **kwargs))
+    for forced in ({}, {"_DRIVER_MERGE_BYTES": 0}):
+        with force_side("agraph_ray.stages.dedup", **forced):
+            _assert_invariant(
+                lambda: (_mixed_mentions_df(),),
+                lambda ds: dedup_both(ds, KGConfig()))
 
 
 def _one_pass_reference(df: pd.DataFrame):
@@ -557,16 +549,17 @@ def _one_pass_reference(df: pd.DataFrame):
     return nodes, edges
 
 
-def test_dedup_both_equals_per_kind(ray_session):
+def test_dedup_both_equals_per_kind(ray_session, force_side):
     from agraph_ray.stages.dedup import dedup_both
     import ray.data as rd
     df = _mixed_mentions_df()
     ds = rd.from_pandas([df]).repartition(7)
     nodes_ref, edges_ref = _one_pass_reference(df)
-    # the driver-merge regime, and beyond cap_bytes the composite-key
-    # bucketed reduce that continues from the partials
-    for kwargs in ({}, {"cap_bytes": 1}):
-        nodes, edges = dedup_both(ds, KGConfig(), **kwargs)
+    # the driver merge, and the composite-key bucketed reduce that
+    # continues from the combined partials
+    for forced in ({}, {"_DRIVER_MERGE_BYTES": 0}):
+        with force_side("agraph_ray.stages.dedup", **forced):
+            nodes, edges = dedup_both(ds, KGConfig())
         pd.testing.assert_frame_equal(_normalize(nodes),
                                       _normalize(nodes_ref),
                                       check_dtype=False)

@@ -24,7 +24,7 @@ def test_lpa_two_planted_cliques(ray_session):
     assert comm[0] == 0 and comm[10] == 10
 
 
-def test_lpa_distributed_equals_driver(ray_session):
+def test_lpa_distributed_equals_driver(ray_session, force_side):
     import ray.data as rd
     from agraph_ray.ops.graph_algo import label_propagation
     rng = np.random.RandomState(3)
@@ -42,8 +42,9 @@ def test_lpa_distributed_equals_driver(ray_session):
     df = pd.DataFrame(edges, columns=["a", "b"]).astype(np.int64)
     ds = rd.from_pandas(df).repartition(6)
     drv = label_propagation(ds).to_pandas().sort_values("node")
-    dist = label_propagation(ds, driver_threshold=0,
-                             num_buckets=8).to_pandas().sort_values("node")
+    with force_side("agraph_ray.ops.graph_algo", _DRIVER_EDGES=0):
+        dist = label_propagation(ds, num_buckets=8).to_pandas() \
+            .sort_values("node")
     assert list(drv.node) == list(dist.node)
     assert list(drv.community) == list(dist.community)
 

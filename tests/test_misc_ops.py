@@ -37,7 +37,8 @@ def test_entity_importance(ray_session):
     assert out[out["entity_id"] == "e1"].iloc[0]["importance"] == 0.5
 
 
-def test_chunk_similarity_pairs(ray_session):
+def test_chunk_similarity_pairs(ray_session, force_side):
+    import pandas as pd
     import ray.data as rd
     from agraph_ray.ops.misc import chunk_similarity_pairs
     chunks = rd.from_arrow(pa.table({
@@ -51,6 +52,10 @@ def test_chunk_similarity_pairs(ray_session):
     assert (row["chunk_a"], row["chunk_b"]) == ("c1", "c2")
     assert abs(row["similarity"] - 1.0) < 1e-9   # identical sets
     # same pair must not appear twice despite two shared-entity blocks
+    # past the semi-join cap every relation list rides the shuffle
+    with force_side("agraph_ray.ops.misc", _SEMI_JOIN_IDS=0):
+        full = chunk_similarity_pairs(chunks, threshold=0.2).to_pandas()
+    pd.testing.assert_frame_equal(out, full)
 
 
 def test_format_rag_context():
@@ -227,7 +232,7 @@ def test_redact_pattern(ray_session):
     assert out[0]["text"] == "call 555-1234 or 555-9999"   # original kept
 
 
-def test_decontaminate_ngrams_mark_and_drop(ray_session):
+def test_decontaminate_ngrams_mark_and_drop(ray_session, force_side):
     import pandas as pd
     import ray.data as rd
     from agraph_ray.ops.text import decontaminate_ngrams
@@ -247,19 +252,21 @@ def test_decontaminate_ngrams_mark_and_drop(ray_session):
     assert sorted(kept["doc_id"]) == [2, 4]
     # distributed bloom+join path (eval grams beyond the broadcast
     # guard) gives the same answer
-    out2 = decontaminate_ngrams(rd.from_pandas(train), rd.from_pandas(ev),
-                                n=3, eval_broadcast_bytes=0).to_pandas() \
-        .sort_values("doc_id")
+    with force_side("agraph_ray.ops.text", _EVAL_BROADCAST_BYTES=0):
+        out2 = decontaminate_ngrams(rd.from_pandas(train),
+                                    rd.from_pandas(ev), n=3).to_pandas() \
+            .sort_values("doc_id")
     assert list(out2["contaminated"]) == [1, 0, 0]
     # ...and its cogroup mark branch (contaminated ids beyond the limit)
-    out3 = decontaminate_ngrams(rd.from_pandas(train), rd.from_pandas(ev),
-                                n=3, eval_broadcast_bytes=0,
-                                broadcast_limit=0).to_pandas() \
-        .sort_values("doc_id")
+    with force_side("agraph_ray.ops.text", _EVAL_BROADCAST_BYTES=0,
+                    _ID_BROADCAST_ROWS=0):
+        out3 = decontaminate_ngrams(rd.from_pandas(train),
+                                    rd.from_pandas(ev), n=3).to_pandas() \
+            .sort_values("doc_id")
+        kept3 = decontaminate_ngrams(rd.from_pandas(train),
+                                     rd.from_pandas(ev), n=3,
+                                     mode="drop").to_pandas()
     assert list(out3["contaminated"]) == [1, 0, 0]
-    kept3 = decontaminate_ngrams(rd.from_pandas(train), rd.from_pandas(ev),
-                                 n=3, eval_broadcast_bytes=0,
-                                 broadcast_limit=0, mode="drop").to_pandas()
     assert sorted(kept3["doc_id"]) == [2, 4]
 
 

@@ -65,15 +65,16 @@ def test_nb_broadcast_path_matches_reference(ray_session):
             df.set_index("doc_id").sort_index()["lang"]).all()
 
 
-def test_nb_join_path_equals_broadcast_path(ray_session):
+def test_nb_join_path_equals_broadcast_path(ray_session, force_side):
     import ray.data as rd
     from agraph_ray.ops.ml import train_nb, score_nb
     df = _nb_corpus()
     model = train_nb(rd.from_pandas(df))
     b = score_nb(rd.from_pandas(df), model).to_pandas() \
         .set_index("doc_id").sort_index()
-    j = score_nb(rd.from_pandas(df), model, broadcast_limit=0,
-                 num_buckets=8).to_pandas().set_index("doc_id").sort_index()
+    with force_side("agraph_ray.ops.ml", _MODEL_BROADCAST_ROWS=0):
+        j = score_nb(rd.from_pandas(df), model, num_buckets=8).to_pandas() \
+            .set_index("doc_id").sort_index()
     assert (b["pred_label"] == j["pred_label"]).all()
     assert np.allclose(b["score"], j["score"], atol=1e-9)
 

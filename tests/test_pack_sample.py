@@ -354,7 +354,8 @@ def test_ndcg_at_k_hand_computed(ray_session):
     assert perfect.loc[0, "ndcg_scaled"] == 1_000_000
 
 
-def test_negative_sampling_join_path_equals_broadcast(ray_session):
+def test_negative_sampling_join_path_equals_broadcast(ray_session,
+                                                      force_side):
     import pandas as pd
     import ray.data as rd
     from agraph_ray.ops.graph_algo import negative_sample_edges
@@ -362,8 +363,8 @@ def test_negative_sampling_join_path_equals_broadcast(ray_session):
     pool = pd.DataFrame({"p": [100, 200, 300, 400, 500]})
     de, dp = rd.from_pandas(edges), rd.from_pandas(pool)
     b = negative_sample_edges(de, "s", "d", dp, "p", k=3).to_pandas()
-    j = negative_sample_edges(de, "s", "d", dp, "p", k=3,
-                              broadcast_cap=0).to_pandas()
+    with force_side("agraph_ray.ops.graph_algo", _BROADCAST_ROWS=0):
+        j = negative_sample_edges(de, "s", "d", dp, "p", k=3).to_pandas()
     key = lambda df: sorted(map(tuple,
                                 df[["s", "d", "neg_idx", "neg_p"]].values))
     assert key(b) == key(j)

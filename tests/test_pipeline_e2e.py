@@ -86,6 +86,28 @@ def test_deterministic_across_runs(kg_out, corpus_dir, tmp_path):
         assert a == b, table
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_dedup_from_checkpoint_equals_in_memory(kg_out, corpus_dir, tmp_path,
+                                                force_side):
+    """build_kg dedups from the Parquet mentions checkpoint when the
+    in-memory mentions take more than _INMEM_STORE_SHARE of the object
+    store: the same node, edge and triple ids and the same mention counts
+    as the in-memory side of the shared build."""
+    from agraph_ray.config import KGConfig
+    from agraph_ray.pipelines.kg_build import build_kg
+    with force_side("agraph_ray.pipelines.kg_build", _INMEM_STORE_SHARE=0):
+        res2 = build_kg(corpus_dir, str(tmp_path / "ckpt"), KGConfig(),
+                        with_chunks=False)
+    con = duckdb.connect()
+    for table, key in [("nodes", "entity_id"), ("edges", "relation_id"),
+                       ("triples", "relation_id")]:
+        a, b = (con.execute(
+            f"SELECT list_sort(list({key})), sum(n_mentions) FROM "
+            f"parquet_scan('{res.tables[table]}/*.parquet')").fetchone()
+            for res in (kg_out, res2))
+        assert a == b and a[1] > 0, table
+
+
 def test_empty_and_degenerate_inputs(ray_session, tmp_path):
     """Zero rows and a single extractorless turn must produce valid (0-row
     or 1-row) artifacts, not crashes — poison inputs can't kill a shard."""

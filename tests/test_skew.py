@@ -42,17 +42,22 @@ def test_skew_left_keeps_unmatched_with_nulls(ray_session):
     assert got.k.dtype.kind in "i"          # no int->float drift
 
 
-def test_skew_path_invariance(ray_session):
-    """Classifying every key as cold (huge threshold) must give the same
-    rows as the hybrid routing — correctness cannot depend on detection."""
+def test_skew_path_invariance(ray_session, force_side):
+    """Classifying every key as cold (huge threshold), or a hot build slice
+    over the broadcast cap, must give the same rows as the hybrid routing
+    — correctness cannot depend on detection."""
     from agraph_ray.ops.join import skew_join
     probe, build, _, _ = _skewed(ray_session)
     hybrid = skew_join(probe, build, on="k",
                        hot_threshold=5_000).to_pandas()
     all_cold = skew_join(probe, build, on="k",
                          hot_threshold=10**12).to_pandas()
+    with force_side("agraph_ray.ops.join", _HOT_BUILD_ROWS=0):
+        over_cap = skew_join(probe, build, on="k",
+                             hot_threshold=5_000).to_pandas()
     assert sorted(zip(hybrid.v, hybrid.name)) == \
-        sorted(zip(all_cold.v, all_cold.name))
+        sorted(zip(all_cold.v, all_cold.name)) == \
+        sorted(zip(over_cap.v, over_cap.name))
 
 
 def test_heavy_hitter_detection_bounded_state(ray_session):
@@ -95,7 +100,7 @@ def test_skew_rejects_bad_how(ray_session):
         skew_join(probe, build, on="k", how="anti")
 
 
-def test_auto_join_strategies_agree(ray_session):
+def test_auto_join_strategies_agree(ray_session, force_side):
     import pandas as pd
     import ray.data as rd
     from agraph_ray.ops.join import auto_join, cogroup_join
@@ -116,7 +121,7 @@ def test_auto_join_strategies_agree(ray_session):
                           ref[sorted(ref.columns)].fillna(-9e9).values))
         assert key == kref, how
     # large build side routes to the shuffle join (still correct)
-    big = auto_join(dl, dr, ["k"], how="inner",
-                    broadcast_rows=0).to_pandas()
+    with force_side("agraph_ray.ops.join", _BROADCAST_JOIN_ROWS=0):
+        big = auto_join(dl, dr, ["k"], how="inner").to_pandas()
     assert len(big) == len(auto_join(dl, dr, ["k"], how="inner")
                            .to_pandas())

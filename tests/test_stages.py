@@ -16,8 +16,7 @@ def test_reassemble_restores_turn_order(ray_session):
     rows = [{"conv_id": "c1", "turn_idx": i, "text": f"t{i}"} for i in (3, 0, 2, 1)]
     rows += [{"conv_id": "c2", "turn_idx": i, "text": f"u{i}"} for i in (1, 0)]
     docs = {r["conv_id"]: r["text"]
-            for r in reassemble(rd.from_items(rows), KGConfig(),
-                                detect_hot=False).take_all()}
+            for r in reassemble(rd.from_items(rows), KGConfig()).take_all()}
     assert docs["c1"] == "t0\nt1\nt2\nt3"
     assert docs["c2"] == "u0\nu1"
 
@@ -109,9 +108,13 @@ def test_dedup_edges_keeps_max_confidence(ray_session):
 
 # ---------------- union-find ----------------
 
-@pytest.mark.parametrize("driver_threshold", [2_000_000, 0],
+_UF = "agraph_ray.state.unionfind"
+
+
+@pytest.mark.parametrize("forced", [{}, {"_DRIVER_EDGES": 0}],
                          ids=["driver-uf", "distributed-labelprop"])
-def test_connected_components_chain_and_islands(ray_session, driver_threshold):
+def test_connected_components_chain_and_islands(ray_session, force_side,
+                                                forced):
     import ray.data as rd
     from agraph_ray.state.unionfind import (components_to_canonical_map,
                                             connected_components)
@@ -119,14 +122,13 @@ def test_connected_components_chain_and_islands(ray_session, driver_threshold):
         {"src": "b", "dst": "a"}, {"src": "b", "dst": "c"},
         {"src": "c", "dst": "d"}, {"src": "x", "dst": "y"},
     ])
-    labels = {r["node"]: r["label"]
-              for r in connected_components(
-                  edges, max_iters=10,
-                  driver_threshold=driver_threshold).take_all()}
+    with force_side(_UF, **forced):
+        labels = {r["node"]: r["label"]
+                  for r in connected_components(
+                      edges, max_iters=10).take_all()}
+        cmap = components_to_canonical_map(connected_components(edges))
     assert labels == {"a": "a", "b": "a", "c": "a", "d": "a",
                       "x": "x", "y": "x"}
-    cmap = components_to_canonical_map(
-        connected_components(edges, driver_threshold=driver_threshold))
     assert cmap == {"b": "a", "c": "a", "d": "a", "y": "x"}
 
 
@@ -171,7 +173,8 @@ def test_connected_components_empty(ray_session):
     assert connected_components(empty).count() == 0
 
 
-def test_connected_components_long_chain_distributed(ray_session):
+def test_connected_components_long_chain_distributed(ray_session,
+                                                     force_side):
     """10k-edge chain on the distributed path: pointer doubling must
     converge in O(log n) rounds (a plain min-label walk needs 10k) and the
     labels must match the exact driver union-find."""
@@ -181,25 +184,26 @@ def test_connected_components_long_chain_distributed(ray_session):
     n = 10_000
     ids = [f"n{i:05d}" for i in range(n + 1)]
     edges = rd.from_arrow(pa.table({"src": ids[:-1], "dst": ids[1:]}))
-    dist = {r["node"]: r["label"]
-            for r in connected_components(
-                edges, driver_threshold=0).take_all()}
+    with force_side(_UF, _DRIVER_EDGES=0):
+        dist = {r["node"]: r["label"]
+                for r in connected_components(edges).take_all()}
     drv = {r["node"]: r["label"]
-           for r in connected_components(
-               edges, driver_threshold=2_000_000).take_all()}
+           for r in connected_components(edges).take_all()}
     assert dist == drv
     assert set(dist.values()) == {ids[0]}
 
 
-def test_connected_components_nonconvergence_raises(ray_session):
+def test_connected_components_nonconvergence_raises(ray_session,
+                                                    force_side):
     import pyarrow as pa
     import pytest
     import ray.data as rd
     from agraph_ray.state.unionfind import connected_components
     ids = [f"n{i:03d}" for i in range(60)]
     edges = rd.from_arrow(pa.table({"src": ids[:-1], "dst": ids[1:]}))
-    with pytest.raises(RuntimeError, match="did not converge"):
-        connected_components(edges, max_iters=2, driver_threshold=0)
+    with force_side(_UF, _DRIVER_EDGES=0), \
+            pytest.raises(RuntimeError, match="did not converge"):
+        connected_components(edges, max_iters=2)
 
 
 # ---------------- linking / canonicalization ----------------
@@ -299,7 +303,8 @@ def test_render_chat_salting_and_stats(ray_session):
     assert "".join(salted["text"]) == r["text"]
 
 
-def test_extract_branch_overlap_equals_fused(ray_session, tmp_path):
+def test_extract_branch_overlap_equals_fused(ray_session, tmp_path,
+                                            force_side):
     """The large-corpus path (two thread-overlapped branch executions)
     must emit exactly the fused single-execution's mentions."""
     import pandas as pd
@@ -323,12 +328,9 @@ def test_extract_branch_overlap_equals_fused(ray_session, tmp_path):
 
     def run(thresh):
         import pyarrow as pa
-        old = ex._BRANCH_OVERLAP_BYTES
-        ex._BRANCH_OVERLAP_BYTES = thresh
-        try:
+        with force_side("agraph_ray.stages.extract",
+                        _BRANCH_OVERLAP_BYTES=thresh):
             m = ex.extract_mentions(docs, cfg).materialize()
-        finally:
-            ex._BRANCH_OVERLAP_BYTES = old
         refs = [t for t in ray.get(m.to_arrow_refs()) if t.num_rows]
         tbl = pa.concat_tables(refs, promote_options="default")
         # json-render rows (list columns are ragged — pandas' tensor

@@ -287,7 +287,7 @@ def test_validate_expectations_detects_violations(ray_session):
     assert out["n_checked"].tolist() == [4, 4, 4, 4]
 
 
-def test_grouped_zscore_join_path_equals_broadcast(ray_session):
+def test_grouped_zscore_join_path_equals_broadcast(ray_session, force_side):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -297,9 +297,9 @@ def test_grouped_zscore_join_path_equals_broadcast(ray_session):
                        "v": rng.normal(size=200)})
     b = grouped_zscore(rd.from_pandas(df), "g", "v").to_pandas() \
         .sort_values(["g", "v"]).reset_index(drop=True)
-    j = grouped_zscore(rd.from_pandas(df), "g", "v",
-                       group_cap=0).to_pandas() \
-        .sort_values(["g", "v"]).reset_index(drop=True)
+    with force_side("agraph_ray.ops.stats", _GROUP_BROADCAST_ROWS=0):
+        j = grouped_zscore(rd.from_pandas(df), "g", "v").to_pandas() \
+            .sort_values(["g", "v"]).reset_index(drop=True)
     assert np.allclose(b["z"], j["z"], atol=1e-12)
     assert (b["g"] == j["g"]).all()
 

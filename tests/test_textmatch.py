@@ -83,9 +83,9 @@ def test_link_chunks_matches_naive_scan(ray_session):
     assert out["c4"]["relations"] == []
 
 
-def test_unigram_logprob_paths_agree(ray_session):
-    """The word-join (broadcast_cap=0) path must produce the same scores
-    as the broadcast-model path."""
+def test_unigram_logprob_paths_agree(ray_session, force_side):
+    """The word-join (_VOCAB_BROADCAST_ROWS=0) path must produce the same
+    scores as the broadcast-model path."""
     import pandas as pd
     import ray.data as rd
     from agraph_ray.ops.text import unigram_logprob
@@ -95,8 +95,9 @@ def test_unigram_logprob_paths_agree(ray_session):
     ds = rd.from_pandas(docs)
     bc = (unigram_logprob(ds).to_pandas()
           .sort_values("doc_id").reset_index(drop=True))
-    dist = (unigram_logprob(ds, broadcast_cap=0).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
+    with force_side("agraph_ray.ops.text", _VOCAB_BROADCAST_ROWS=0):
+        dist = (unigram_logprob(ds).to_pandas()
+                .sort_values("doc_id").reset_index(drop=True))
     assert (bc["n_tokens"] == [4, 4, 3, 1]).all()
     assert (bc["n_tokens"] == dist["n_tokens"]).all()
     assert (bc["lp_micro"] == dist["lp_micro"]).all()
@@ -104,7 +105,7 @@ def test_unigram_logprob_paths_agree(ray_session):
     assert bc.loc[1, "lp_micro"] == bc["lp_micro"].max()
 
 
-def test_vocab_prune_paths_agree(ray_session):
+def test_vocab_prune_paths_agree(ray_session, force_side):
     """Rare words become <unk> with correct counts; the broadcast and
     beyond-cap explode/co-group paths produce identical output."""
     import pandas as pd
@@ -118,16 +119,17 @@ def test_vocab_prune_paths_agree(ray_session):
                  "rare2 common"]})
     ds = rd.from_pandas(df).repartition(2)
 
-    def run(cap):
-        out = vocab_prune(ds, min_count=2, broadcast_cap=cap).to_pandas()
+    def run(**forced):
+        with force_side("agraph_ray.ops.text", **forced):
+            out = vocab_prune(ds, min_count=2).to_pandas()
         return out.sort_values("doc_id").reset_index(drop=True)
 
-    got = run(5_000_000)
+    got = run()
     assert got.loc[0, "text"] == "common words common <unk>"
     assert got.loc[1, "text"] == "common words again again"
     assert got.loc[2, "text"] == "<unk> common"
     assert got["n_unk"].tolist() == [1, 0, 1]
-    pd.testing.assert_frame_equal(got, run(0))
+    pd.testing.assert_frame_equal(got, run(_VOCAB_BROADCAST_ROWS=0))
 
 
 def test_add_compress_ratio(ray_session):
