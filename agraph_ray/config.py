@@ -23,9 +23,11 @@ class KGConfig:
     max_keywords: int = 10              # keyword concepts cap (entity_extractor.py:351)
 
     # --- reassembly / skew ---
-    # Conversations with more turns than `hot_conv_turns` are salted into
-    # sub-documents of `salt_span` turns each so one giant conversation cannot
-    # pin a single shuffle task (SURVEY.md §7.5 item 4).
+    # Every conversation is salted into sub-documents of `salt_span` turns
+    # each, so one giant conversation cannot pin a single shuffle task
+    # (SURVEY.md §7.5 item 4). `hot_conv_turns` has no reader in the engine;
+    # it stays because the benchmark workloads, bench.py, a tool and tests
+    # construct KGConfig with it, and goes with the next benchmark change.
     hot_conv_turns: int = 8192
     salt_span: int = 4096
     turn_separator: str = "\n"     # document text = separator.join(turn texts)

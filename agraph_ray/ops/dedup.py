@@ -33,6 +33,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .similarity import _unit
+
 _KILL_BROADCAST_ROWS = 2_000_000
 _SEMI_JOIN_IDS = 20_000_000
 _BROADCAST_IDS = 200_000
@@ -1030,10 +1032,8 @@ def embedding_near_dup_pairs(ds: "ray.data.Dataset",
             n = len(ids)
             if n <= 1:
                 continue
-            vecs = np.asarray(g[vec_col].tolist(), dtype=np.float64)
-            norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-            norms[norms == 0] = 1
-            sims = (vecs / norms) @ (vecs / norms).T
+            unit = _unit(np.asarray(g[vec_col].tolist(), dtype=np.float64))
+            sims = unit @ unit.T
             ii, jj = np.triu_indices(n, k=1)
             keep = sims[ii, jj] >= threshold
             a.extend(ids[i] for i in ii[keep])

@@ -17,26 +17,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.common import bucketed_group_reduce, distinct_on
+from .similarity import _batch_vecs, _sample_centroids, _unit
 
 __all__ = ["label_centroids", "centroid_outlier_scores", "semdedup_pairs",
            "semdedup", "embedding_pca"]
-
-
-def _batch_vecs(batch: pa.Table, vec_col: str) -> np.ndarray:
-    """(n, dim) float64 from a list<float> / fixed-size-list / Ray tensor
-    extension column."""
-    col = batch[vec_col].combine_chunks()
-    n = len(batch)
-    if pa.types.is_list(col.type) or pa.types.is_large_list(col.type) \
-            or pa.types.is_fixed_size_list(col.type):
-        flat = col.flatten().to_numpy(zero_copy_only=False)
-        return (flat.astype(np.float64).reshape(n, -1)
-                if n else flat.reshape(0, 0))
-    # Ray ArrowTensorArray (rd.from_pandas of an ndarray column)
-    arr = np.asarray(col.to_numpy(zero_copy_only=False))
-    if arr.dtype == object:
-        arr = np.stack(arr) if n else np.zeros((0, 0))
-    return arr.astype(np.float64)
 
 
 def label_centroids(ds: "ray.data.Dataset", vec_col: str = "embedding",
@@ -137,27 +121,18 @@ def semdedup_pairs(ds: "ray.data.Dataset", threshold: float = 0.95,
     lower ``threshold`` to trade)."""
     import ray
 
-    from .similarity import _kmeans_centroids
-
-    sample = ds.select_columns([id_col, vec_col]).sort(id_col).limit(
-        sample_size).take_all()
-    if not sample:
+    cents = _sample_centroids(ds, id_col, vec_col, sample_size, n_clusters)
+    if cents is None:
         import ray.data as rd
         return rd.from_arrow(pa.table(
             {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
              "cosine": pa.array([], pa.float64())}))
-    x = np.asarray([r[vec_col] for r in sample], dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    cents = _kmeans_centroids(x / norms, n_clusters)
     cref = ray.put(cents)
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(cref)
-        v = _batch_vecs(batch, vec_col)
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
-        nv[nv == 0] = 1.0
-        cl = np.argmax((v / nv) @ c.T, axis=1).astype(np.int64)
+        unit = _unit(_batch_vecs(batch, vec_col))
+        cl = np.argmax(unit @ c.T, axis=1).astype(np.int64)
         return pa.table({id_col: batch[id_col],
                          "cl": pa.array(cl),
                          vec_col: batch[vec_col]})
@@ -173,10 +148,8 @@ def semdedup_pairs(ds: "ray.data.Dataset", threshold: float = 0.95,
             if n <= 1:
                 continue
             ids = g[id_col].to_numpy(dtype=np.int64)
-            v = np.asarray(g[vec_col].tolist(), dtype=np.float64)
-            nv = np.linalg.norm(v, axis=1, keepdims=True)
-            nv[nv == 0] = 1.0
-            sims = (v / nv) @ (v / nv).T
+            unit = _unit(np.asarray(g[vec_col].tolist(), dtype=np.float64))
+            sims = unit @ unit.T
             ii, jj = np.triu_indices(n, k=1)
             keep = sims[ii, jj] >= threshold
             a_o.append(ids[ii[keep]])

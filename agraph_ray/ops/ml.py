@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.common import bucketed_group_reduce, distinct_on
-from .embedding import _batch_vecs
+from .similarity import _batch_vecs, _l2_assign, _unit
 
 _MODEL_BROADCAST_ROWS = 2_000_000
 
@@ -312,9 +312,7 @@ def embedding_kmeans(ds: "ray.data.Dataset", k: int = 8,
                 return pa.table({"cl": pa.array([], pa.int64()),
                                  "s": pa.array([], pa.list_(pa.float64())),
                                  "n": pa.array([], pa.int64())})
-            d2 = ((v ** 2).sum(1)[:, None] - 2 * v @ c.T
-                  + (c ** 2).sum(1)[None, :])
-            a = np.argmin(d2, axis=1)
+            a, _ = _l2_assign(v, c)
             u = np.unique(a)
             sums = np.zeros((len(u), v.shape[1]))
             np.add.at(sums, np.searchsorted(u, a), v)
@@ -345,15 +343,11 @@ def embedding_kmeans(ds: "ray.data.Dataset", k: int = 8,
             return pa.table({id_col: pa.array([], pa.int64()),
                              "cluster": pa.array([], pa.int64()),
                              "dist": pa.array([], pa.float64())})
-        d2 = ((v ** 2).sum(1)[:, None] - 2 * v @ c.T
-              + (c ** 2).sum(1)[None, :])
-        a = np.argmin(d2, axis=1)
+        a, d2 = _l2_assign(v, c)
         return pa.table({id_col: batch[id_col],
                          "cluster": pa.array(a, pa.int64()),
-                         "dist": pa.array(
-                             np.sqrt(np.maximum(
-                                 d2[np.arange(len(v)), a], 0.0)),
-                             pa.float64())})
+                         "dist": pa.array(np.sqrt(np.maximum(d2, 0.0)),
+                                          pa.float64())})
 
     return ds.map_batches(assign, batch_format="pyarrow"), cent
 
@@ -452,9 +446,7 @@ def hash_vectorize(ds: "ray.data.Dataset", text_col: str = "text",
             rows = np.repeat(np.arange(n), lens)
             np.add.at(m, (rows, buckets[inv]), 1.0)
         if normalize:
-            nrm = np.linalg.norm(m, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            m = m / nrm
+            m = _unit(m)
         return pa.table({id_col: batch[id_col],
                          out_col: pa.array(list(m),
                                            pa.list_(pa.float64()))})

@@ -1,14 +1,31 @@
-"""Similarity search over an embedding column (list<float>).
+"""Vector search over an embedding column: the one set of cosine kernels.
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast once
-(``ray.put``) and every batch does one numpy matmul + local top-k; the
-global top-k per query is a tiny final reduction. This replaces the
-reference's per-query Python loop over an in-heap vector dict
-(agraph/storage/vector_storage.py:310-332).
+Every cosine top-k in the engine runs on the kernels here:
+:func:`_batch_vecs` reads a batch's vector column as a float64 matrix,
+:func:`_unit` unit-normalizes rows, :func:`_topk` is the selection,
+:func:`_rank_topk` the per-query final reduce of partial top-k lists, and
+:func:`_kmeans_centroids` the Lloyd loop that trains the IVF quantizers,
+semdedup's clusters and the PQ codebooks (cosine or L2 assignment,
+:func:`_l2_assign`).
 
-Scale path: IVF-style LSH bucketing (ops/dedup.embedding_near_dup_pairs
-buckets) or the sharded ANN actor pool (state/ann.py) when the corpus is
-queried repeatedly.
+One tie rule: a top-k ranks by (-sim, id), ids compared in their own
+order, with every candidate tied at the k-th place considered before the
+cut. Partition-local top-k lists therefore merge into the global top-k
+whatever the partition layout (Distributed Similarity Joins over Top-K
+Rankings, EDBT 2020).
+
+Two placements share the kernels and serve different traffic:
+
+- a scan (:func:`topk_cosine`, :func:`topk_cosine_ivf`,
+  :func:`topk_cosine_lsh`, :func:`embedding_join`) streams the corpus
+  once past broadcast queries and holds no copy of it: one matmul and
+  one local top-k per batch, then one query-keyed reduce. Use it for a
+  one-off batch of queries. (This replaces the reference's per-query
+  Python loop over an in-heap vector dict,
+  agraph/storage/vector_storage.py:310-332.)
+- the resident shard pool (state/ann.py) keeps the index in actors and
+  merges per-shard top-k on the caller. Use it when the same corpus is
+  queried repeatedly (llm_e2e ``ann_link``, retrieval).
 
 Size constant: ``_INDEX_BROADCAST_ROWS`` (2M rows) — :func:`embedding_join`
 broadcasts an index side up to it whole, and above it in ceil(rows / cap)
@@ -28,28 +45,154 @@ import ray
 _INDEX_BROADCAST_ROWS = 2_000_000
 
 
-def _topk(ds: "ray.data.Dataset", local, k: int, id_col: str,
-          vec_col: str) -> "ray.data.Dataset":
-    """Global top-k per query: ``local(batch)`` scores one batch and returns
-    its partial top-k as (query ids, ids, sims) lists; one reduce per block
-    then ranks by descending ``sim``, ties broken by ascending id."""
+def _batch_vecs(batch: pa.Table, vec_col: str) -> np.ndarray:
+    """(n, dim) float64 from a list<float> / fixed-size-list / Ray tensor
+    extension column."""
+    col = batch[vec_col].combine_chunks()
+    n = len(batch)
+    if pa.types.is_list(col.type) or pa.types.is_large_list(col.type) \
+            or pa.types.is_fixed_size_list(col.type):
+        flat = col.flatten().to_numpy(zero_copy_only=False)
+        return (flat.astype(np.float64).reshape(n, -1)
+                if n else flat.reshape(0, 0))
+    # Ray ArrowTensorArray (rd.from_pandas of an ndarray column)
+    arr = np.asarray(col.to_numpy(zero_copy_only=False))
+    if arr.dtype == object:
+        arr = np.stack(arr) if n else np.zeros((0, 0))
+    return arr.astype(np.float64)
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` scaled to unit L2 norm, in x's dtype; a zero row
+    stays zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return x / norms
+
+
+def _topk(rows, k: int) -> tuple:
+    """The top-k selection. ``rows`` holds one (sims, ids) pair of 1-d
+    candidate arrays per query → ``(ids, sims)``, each (len(rows), k),
+    every row ranked by (-sim, id). Every candidate tied with the k-th
+    sim is kept before the cut, so the k chosen do not depend on the
+    order the candidates come in. A row with fewer than k candidates pads
+    with id '' and sim -inf."""
+    rows = list(rows)
+    out_ids = np.full((len(rows), k), "", dtype=object)
+    out_sims = np.full((len(rows), k), -np.inf,
+                       dtype=rows[0][0].dtype if rows else np.float64)
+    for r, (sims, ids) in enumerate(rows):
+        n = len(sims)
+        if n > k:
+            cand = np.flatnonzero(sims >= np.partition(sims, n - k)[n - k])
+            sims, ids = sims[cand], ids[cand]
+        top = np.lexsort((ids, -sims))[:k]
+        out_ids[r, :len(top)] = ids[top]
+        out_sims[r, :len(top)] = sims[top]
+    return out_ids, out_sims
+
+
+def _probe(qm: np.ndarray, cents: np.ndarray, nprobe: int) -> np.ndarray:
+    """(Q, nprobe) indices of each unit query's nearest coarse lists,
+    ranked by (-sim, list index)."""
+    lists = np.arange(len(cents))
+    top, _ = _topk([(s, lists) for s in qm @ cents.T],
+                   min(nprobe, len(cents)))
+    return top.astype(np.int64)
+
+
+def _rank_topk(df: pd.DataFrame, key: str, id_col: str,
+               k: int) -> pd.DataFrame:
+    """The per-query final reduce: partial top-k rows (``key``,
+    ``id_col``, ``sim``) → each ``key``'s top k by (-sim, id), with its
+    1-based ``rank``."""
+    df = df.sort_values([key, "sim", id_col], ascending=[True, False, True],
+                        kind="mergesort")
+    df = df.groupby(key, sort=False).head(k).copy()
+    df["rank"] = df.groupby(key, sort=False).cumcount() + 1
+    return df
+
+
+def _l2_assign(x: np.ndarray, c: np.ndarray, block: int = 262144) -> tuple:
+    """Nearest centroid by squared L2 → (labels, squared distances).
+    Blockwise: the dense (n, k) distance matrix of a million-row shard
+    would be GBs, so it is formed ~256k rows at a time."""
+    labels = np.empty(len(x), dtype=np.int64)
+    d2min = np.empty(len(x))
+    c2 = (c ** 2).sum(1)[None]
+    for s in range(0, len(x), block):
+        xx = x[s:s + block]
+        d2 = (xx ** 2).sum(1)[:, None] - 2.0 * (xx @ c.T) + c2
+        labels[s:s + block] = np.argmin(d2, axis=1)
+        d2min[s:s + block] = d2[np.arange(len(xx)), labels[s:s + block]]
+    return labels, d2min
+
+
+def _kmeans_centroids(x: np.ndarray, k: int, iters: int = 5,
+                      metric: str = "cosine") -> np.ndarray:
+    """Deterministic Lloyd's k-means on the driver or in one actor: init =
+    the first ``k`` rows (callers pass an id-ordered sample, so it is
+    reproducible), a fixed iteration count, an empty cluster re-seeded
+    from row ``j % n``. ``metric="cosine"`` (unit rows, argmax dot,
+    centroids renormalized) trains the IVF quantizers and semdedup's
+    clusters; ``"l2"`` (argmin squared distance, plain means) the PQ
+    codebooks."""
+    n = x.shape[0]
+    k = min(k, n)
+    c = x[:k].copy()
+    for _ in range(iters):
+        assign = (np.argmax(x @ c.T, axis=1) if metric == "cosine"
+                  else _l2_assign(x, c)[0])
+        for j in range(k):
+            members = x[assign == j]
+            if not len(members):
+                c[j] = x[j % n]
+                continue
+            m = members.mean(axis=0)
+            if metric == "cosine":
+                norm = np.linalg.norm(m)
+                m = m / norm if norm else x[j % n]
+            c[j] = m
+    return c
+
+
+def _sample_centroids(ds: "ray.data.Dataset", id_col: str, vec_col: str,
+                      sample_size: int, k: int) -> Optional[np.ndarray]:
+    """Cosine k-means centroids over the ``sample_size`` smallest-id rows
+    of ``ds``; None when ``ds`` is empty."""
+    rows = (ds.select_columns([id_col, vec_col]).sort(id_col)
+            .limit(sample_size).take_all())
+    if not rows:
+        return None
+    x = np.asarray([r[vec_col] for r in rows], dtype=np.float64)
+    return _kmeans_centroids(_unit(x), k)
+
+
+def _scan_topk(ds: "ray.data.Dataset", score, k: int, id_col: str,
+               vec_col: str) -> "ray.data.Dataset":
+    """The scan placement: one pass over ``ds``. Per batch,
+    ``score(vecs, ids)`` returns the (query id, sims, ids) candidates of
+    each query it scores; :func:`_topk` cuts each to k, and one
+    query-keyed reduce (:func:`_rank_topk`) ranks the block-local lists
+    into the global top k → rows (query_id, id, sim, rank)."""
     from ..stages.common import bucketed_group_reduce
 
     def partial(batch: pa.Table) -> pa.Table:
-        q, ids, sims = local(batch)
+        cands = score(_batch_vecs(batch, vec_col),
+                      np.asarray(batch[id_col].to_pylist()))
+        ids, sims = _topk([c[1:] for c in cands], k)
+        keep = sims > -np.inf
+        qids = np.repeat(np.asarray([c[0] for c in cands], dtype=object), k)
         return pa.Table.from_arrays(
-            [pa.array(q), pa.array(ids), pa.array(sims, pa.float64())],
+            [pa.array(qids[keep.ravel()]), pa.array(ids[keep]),
+             pa.array(sims[keep], pa.float64())],
             names=["query_id", id_col, "sim"])
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["sim", id_col], ascending=[False, True],
-                            kind="mergesort")
-        df = df.groupby("query_id", sort=False).head(k).copy()
-        df["rank"] = df.groupby("query_id", sort=False).cumcount() + 1
-        return df
     partials = ds.select_columns([id_col, vec_col]).map_batches(
         partial, batch_format="pyarrow")
-    return bucketed_group_reduce(partials, ["query_id"], final)
+    return bucketed_group_reduce(
+        partials, ["query_id"],
+        lambda df: _rank_topk(df, "query_id", id_col, k))
 
 
 def topk_cosine(ds: "ray.data.Dataset", queries: np.ndarray,
@@ -58,55 +201,19 @@ def topk_cosine(ds: "ray.data.Dataset", queries: np.ndarray,
                 id_col: str = "vec_id") -> "ray.data.Dataset":
     """→ rows (query_id, vec_id, sim, rank), rank 1..k per query.
 
-    Deterministic tie-break: (-sim, vec_id). Cosine is computed in float64
-    at full precision; callers that need oracle-hashable output scale to
-    integers afterwards.
+    Ties: (-sim, vec_id). Cosine is computed in float64 at full
+    precision; callers that need oracle-hashable output scale to integers
+    afterwards.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    qn[qn == 0] = 1.0
-    q_ref = ray.put(q / qn)
-    qids = query_ids if query_ids is not None else list(range(len(q)))
+    qm = _unit(np.asarray(queries, dtype=np.float64))
+    q_ref = ray.put(qm)
+    qids = query_ids if query_ids is not None else list(range(len(qm)))
 
-    def local_topk(batch: pa.Table) -> tuple:
-        qm = ray.get(q_ref)                                    # (Q, d)
-        vecs = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
-        ids = np.asarray(batch[id_col].to_pylist())
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        sims = qm @ (vecs / norms).T                           # (Q, n)
-        kk = min(k, sims.shape[1])
-        out_q, out_id, out_sim = [], [], []
-        for qi in range(sims.shape[0]):
-            row = sims[qi]
-            part = np.argpartition(-row, kk - 1)[:kk]
-            order = part[np.lexsort((ids[part], -row[part]))]
-            out_q.extend([qids[qi]] * kk)
-            out_id.extend(ids[order].tolist())
-            out_sim.extend(row[order].tolist())
-        return out_q, out_id, out_sim
+    def score(vecs: np.ndarray, ids: np.ndarray) -> list:
+        sims = ray.get(q_ref) @ _unit(vecs).T                 # (Q, n)
+        return [(qid, row, ids) for qid, row in zip(qids, sims)]
 
-    return _topk(ds, local_topk, k, id_col, vec_col)
-
-
-def _kmeans_centroids(x: np.ndarray, nlist: int, iters: int = 5) -> np.ndarray:
-    """Deterministic Lloyd's k-means on L2-normalized vectors: init = first
-    ``nlist`` sample rows (sample is id-sorted → reproducible), fixed
-    iteration count, empty clusters re-seeded from the sample in order."""
-    n = x.shape[0]
-    nlist = min(nlist, n)
-    c = x[:nlist].copy()
-    for _ in range(iters):
-        assign = np.argmax(x @ c.T, axis=1)
-        for j in range(nlist):
-            members = x[assign == j]
-            if len(members):
-                m = members.mean(axis=0)
-                norm = np.linalg.norm(m)
-                c[j] = m / norm if norm else x[j % n]
-            else:
-                c[j] = x[j % n]
-    return c
+    return _scan_topk(ds, score, k, id_col, vec_col)
 
 
 def topk_cosine_ivf(ds: "ray.data.Dataset", queries: np.ndarray,
@@ -125,46 +232,22 @@ def topk_cosine_ivf(ds: "ray.data.Dataset", queries: np.ndarray,
     pass). The repeated-query deployment writes the corpus Parquet
     partitioned by list id so probes prune whole files at the read, and
     serves queries from the sharded ANN actor pool (state/ann.py)."""
-    samp = (ds.select_columns([id_col, vec_col]).sort(id_col)
-            .limit(sample_size).take_all())
-    x = np.asarray([r[vec_col] for r in samp], dtype=np.float64)
-    xn = np.linalg.norm(x, axis=1, keepdims=True)
-    xn[xn == 0] = 1.0
-    cents = _kmeans_centroids(x / xn, nlist)
+    cents = _sample_centroids(ds, id_col, vec_col, sample_size, nlist)
+    qm = _unit(np.asarray(queries, dtype=np.float64))
+    qids = query_ids if query_ids is not None else list(range(len(qm)))
+    ref = ray.put((qm, _probe(qm, cents, nprobe), cents))
 
-    q = np.asarray(queries, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    qn[qn == 0] = 1.0
-    qm = q / qn
-    nprobe = min(nprobe, len(cents))
-    probes = np.argsort(-(qm @ cents.T), axis=1)[:, :nprobe]   # (Q, nprobe)
-    qids = query_ids if query_ids is not None else list(range(len(q)))
-    ref = ray.put((qm, probes, qids, cents))
-
-    def local(batch: pa.Table) -> tuple:
-        qmat, prb, ids_, c = ray.get(ref)
-        vecs = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
-        ids = np.asarray(batch[id_col].to_pylist())
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        unit = vecs / norms
+    def score(vecs: np.ndarray, ids: np.ndarray) -> list:
+        qmat, probes, c = ray.get(ref)
+        unit = _unit(vecs)
         assign = np.argmax(unit @ c.T, axis=1)                 # (n,)
-        out_q, out_id, out_sim = [], [], []
-        for qi in range(qmat.shape[0]):
-            mask = np.isin(assign, prb[qi])
-            if not mask.any():
-                continue
-            sims = unit[mask] @ qmat[qi]
-            sub_ids = ids[mask]
-            kk = min(k, len(sims))
-            part = np.argpartition(-sims, kk - 1)[:kk]
-            order = part[np.lexsort((sub_ids[part], -sims[part]))]
-            out_q.extend([ids_[qi]] * kk)
-            out_id.extend(sub_ids[order].tolist())
-            out_sim.extend(sims[order].tolist())
-        return out_q, out_id, out_sim
+        out = []
+        for qi, qid in enumerate(qids):
+            mask = np.isin(assign, probes[qi])
+            out.append((qid, unit[mask] @ qmat[qi], ids[mask]))
+        return out
 
-    return _topk(ds, local, k, id_col, vec_col)
+    return _scan_topk(ds, score, k, id_col, vec_col)
 
 
 def topk_cosine_lsh(ds: "ray.data.Dataset", queries: np.ndarray,
@@ -173,7 +256,8 @@ def topk_cosine_lsh(ds: "ray.data.Dataset", queries: np.ndarray,
                     num_planes: int = 8):
     """Approximate variant: only score vectors whose hyperplane sign-bucket
     matches the query's (single table). Recall < 1; cost ~ 1/2^planes of
-    brute force. Same output schema as :func:`topk_cosine`."""
+    brute force. Same output schema as :func:`topk_cosine`, with sims
+    rounded to 6 places and ranked by (-rounded sim, vec_id)."""
     import hashlib
     rng = np.random.default_rng(
         int.from_bytes(hashlib.md5(b"agraph-ray-hyperplanes").digest()[:4],
@@ -187,34 +271,22 @@ def topk_cosine_lsh(ds: "ray.data.Dataset", queries: np.ndarray,
     by_bucket = {}
     for qi, bk in enumerate(qkeys.tolist()):
         by_bucket.setdefault(bk, []).append(qi)
-    q_ref = ray.put((q, by_bucket, qids))
+    q_ref = ray.put((_unit(q), by_bucket))
 
-    def local(batch: pa.Table) -> tuple:
-        qm, buckets, ids_ = ray.get(q_ref)
-        vecs = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
-        ids = np.asarray(batch[id_col].to_pylist())
+    def score(vecs: np.ndarray, ids: np.ndarray) -> list:
+        qu, buckets = ray.get(q_ref)
         keys = ((vecs @ planes[:, :vecs.shape[1]].T > 0).astype(np.uint32)
                 << np.arange(num_planes, dtype=np.uint32)).sum(axis=1)
-        out_q, out_id, out_sim = [], [], []
-        norms = np.linalg.norm(vecs, axis=1)
-        norms[norms == 0] = 1.0
+        unit = _unit(vecs)
+        out = []
         for bk, qlist in buckets.items():
             mask = keys == bk
-            if not mask.any():
-                continue
-            sub, sub_ids = vecs[mask], ids[mask]
-            sub = sub / norms[mask][:, None]
-            for qi in qlist:
-                qv = qm[qi] / max(np.linalg.norm(qm[qi]), 1e-12)
-                sims = sub @ qv
-                kk = min(k, len(sims))
-                part = np.argpartition(-sims, kk - 1)[:kk] if kk else []
-                out_q.extend([ids_[qi]] * kk)
-                out_id.extend(sub_ids[part].tolist())
-                out_sim.extend(np.round(sims[part], 6).tolist())
-        return out_q, out_id, out_sim
+            sub, sub_ids = unit[mask], ids[mask]
+            out.extend((qids[qi], np.round(sub @ qu[qi], 6), sub_ids)
+                       for qi in qlist)
+        return out
 
-    return _topk(ds, local, k, id_col, vec_col)
+    return _scan_topk(ds, score, k, id_col, vec_col)
 
 
 def recall_at_k(approx: "ray.data.Dataset", exact: "ray.data.Dataset",
@@ -307,37 +379,24 @@ def _embedding_join_broadcast(a: "ray.data.Dataset", b: "ray.data.Dataset",
     for bt in b.iter_batches(
             batch_size=None, batch_format="pyarrow"):
         ids_b.append(np.asarray(bt[id_col].to_pylist()))
-        vecs_b.append(np.asarray(bt[vec_col].to_pylist(), dtype=np.float64))
+        vecs_b.append(_batch_vecs(bt, vec_col))
     ids_b = np.concatenate(ids_b) if ids_b else np.empty(0, np.int64)
     vecs_b = (np.concatenate(vecs_b) if vecs_b
               else np.empty((0, 1), np.float64))
     order = np.argsort(ids_b)
-    ids_b, vecs_b = ids_b[order], vecs_b[order]
-    norms = np.linalg.norm(vecs_b, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    ref = ray.put((ids_b, vecs_b / norms))
+    ref = ray.put((ids_b[order], _unit(vecs_b[order])))
 
     def local(batch: pa.Table) -> pa.Table:
         bid, bunit = ray.get(ref)
-        va = np.asarray(batch[vec_col].to_pylist(), dtype=np.float64)
-        ia = np.asarray(batch[id_col].to_pylist())
-        na = np.linalg.norm(va, axis=1, keepdims=True)
-        na[na == 0] = 1.0
-        sims = (va / na) @ bunit.T                     # (nA, nB)
-        kk = min(k, sims.shape[1])
-        o_a, o_b, o_s, o_r = [], [], [], []
-        for i in range(sims.shape[0]):
-            row = sims[i]
-            part = np.argpartition(-row, kk - 1)[:kk]
-            order_ = part[np.lexsort((bid[part], -row[part]))]
-            o_a.extend([ia[i]] * kk)
-            o_b.extend(bid[order_].tolist())
-            o_s.extend(row[order_].tolist())
-            o_r.extend(range(1, kk + 1))
+        sims = _unit(_batch_vecs(batch, vec_col)) @ bunit.T   # (nA, nB)
+        ids, top = _topk([(row, bid) for row in sims], k)
+        keep = top > -np.inf
+        a_ids = np.repeat(np.asarray(batch[id_col].to_pylist(), object), k)
+        ranks = np.tile(np.arange(1, k + 1), len(sims))
         return pa.Table.from_arrays(
-            [pa.array(o_a), pa.array(o_b),
-             pa.array(o_s, pa.float64()),
-             pa.array(o_r, pa.int64())],
+            [pa.array(a_ids[keep.ravel()]), pa.array(ids[keep]),
+             pa.array(top[keep], pa.float64()),
+             pa.array(ranks[keep.ravel()], pa.int64())],
             names=["a_id", "b_id", "sim", "rank"])
 
     return a.select_columns([id_col, vec_col]).map_batches(
@@ -369,16 +428,9 @@ def _embedding_join_sharded(a: "ray.data.Dataset", b: "ray.data.Dataset",
         cand = _embedding_join_broadcast(a, shard, k, vec_col, id_col)
         parts = cand if parts is None else parts.union(cand)
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["a_id", "sim", "b_id"],
-                            ascending=[True, False, True],
-                            kind="mergesort")
-        df = df.groupby("a_id", sort=False).head(k).copy()
-        df["rank"] = df.groupby("a_id", sort=False).cumcount() + 1
-        return df
-
     return bucketed_group_reduce(
-        parts, ["a_id"], fold, num_buckets,
+        parts, ["a_id"], lambda df: _rank_topk(df, "a_id", "b_id", k),
+        num_buckets,
         schema=pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
                           ("sim", pa.float64()), ("rank", pa.int64())]))
 

@@ -10,18 +10,18 @@ ordering. The reference's equivalent is restoring input order after its
 async fan-out (agraph/builders/llm_builders.py:243-246) — here order lives
 inside the group, never across the whole dataset.
 
-Skew handling (SURVEY.md §7.5 item 4): conversations whose turn count
-exceeds ``cfg.hot_conv_turns`` are *salted* — their shuffle key becomes
-``conv_id#(turn_idx // cfg.salt_span)`` so a 10^6-turn conversation becomes
-~turns/salt_span independent groups instead of pinning one reducer. Each
-salted group emits a sub-document with ``doc_seq = salt``; downstream
+Skew handling (SURVEY.md §7.5 item 4): every conversation is *salted* —
+its shuffle key is ``conv_id#(turn_idx // cfg.salt_span)``, so a
+conversation that fits one span is one group, and a 10^6-turn conversation
+becomes ~turns/salt_span independent groups instead of pinning one reducer.
+Each salted group emits a sub-document with ``doc_seq = salt``; downstream
 extraction treats sub-documents independently (matches cross a sub-document
 boundary are lost — bounded, documented approximation).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 import pandas as pd
 import pyarrow as pa
@@ -37,32 +37,6 @@ DOCS_SCHEMA = pa.schema([
     ("n_turns", pa.int32()),
     ("first_turn_idx", pa.int32()),
 ])
-
-
-def find_hot_conversations(ds: "ray.data.Dataset", cfg: KGConfig) -> Set[str]:
-    """Conversation ids with more than ``cfg.hot_conv_turns`` turns.
-
-    Cheap pre-pass: per-batch partial counts (combiner) → one tiny groupby
-    over (distinct conv per batch) partials — the shuffle moves at most one
-    row per (conv_id, batch), not one per turn.
-    """
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("conv_id").aggregate([("conv_id", "count")])
-        return g.rename_columns(["conv_id", "n"])
-
-    partials = ds.select_columns(["conv_id"]).map_batches(
-        partial_counts, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-    totals = partials.groupby("conv_id").aggregate(Sum("n", alias_name="n_turns"))
-    thresh = int(cfg.hot_conv_turns)
-    hot = totals.map_batches(
-        lambda t: t.filter(pc.greater(t["n_turns"], thresh))
-                   .select(["conv_id"]),
-        batch_format="pyarrow")
-    out = set()
-    for b in hot.iter_batches(batch_size=None, batch_format="pyarrow"):
-        out.update(b["conv_id"].to_pylist())
-    return out
 
 
 def reassemble(ds: "ray.data.Dataset",

@@ -1,10 +1,16 @@
-"""Shared ANN index actor.
+"""Shared ANN index actor: the resident placement of the vector search.
 
 Replaces the reference's brute-force cosine scan over an in-heap vector dict
 (agraph/storage/vector_storage.py:310-332) with a Ray actor holding a dense
 float32 matrix; query batches hit it via vectorized numpy matmul. For
 corpora beyond one node's memory, shard the matrix across an actor pool and
 merge per-shard top-k on the caller (``AnnShardPool``).
+
+The arithmetic is ops/similarity.py's kernels, the same ones the streamed
+scans run: ``_unit`` normalizes, ``_topk`` ranks every query result and
+the merge by (-sim, id), ``_probe`` picks the IVF lists, and
+``_kmeans_centroids`` trains the IVF quantizer and the PQ codebooks. So a
+pool answers the same whatever its shard count.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import ray
+
+from ..ops.similarity import (_kmeans_centroids, _l2_assign, _probe, _topk,
+                              _unit)
 
 
 @ray.remote
@@ -45,30 +54,23 @@ class AnnIndexActor:
             matrix = (flat.reshape(len(t), -1) if len(t)
                       else np.empty((0, 0), dtype=np.float32))
         self.ids = np.asarray(ids)
-        m = np.asarray(matrix, dtype=np.float32)
-        if m.ndim == 1:
-            m = m.reshape(len(self.ids), -1)
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        self.matrix = m / norms   # normalize once at build time
+
+        def unit_rows(dtype):
+            m = np.asarray(matrix, dtype=dtype)
+            return _unit(m.reshape(len(self.ids), -1) if m.ndim == 1 else m)
+
+        self.matrix = unit_rows(np.float32)   # normalize once at build time
         # precision="float64": keep a double-normalized copy scored by
         # the exact path — bit-compatible with an external DOUBLE
         # cosine oracle (float32 scoring flips ties at the 1e-6 ulp).
         # 2x shard memory; the ANN structures stay float32.
-        self.matrix64 = None
-        if precision == "float64":
-            m64 = np.asarray(matrix, dtype=np.float64)
-            if m64.ndim == 1:
-                m64 = m64.reshape(len(self.ids), -1)
-            n64 = np.linalg.norm(m64, axis=1, keepdims=True)
-            n64[n64 == 0] = 1.0
-            self.matrix64 = m64 / n64
+        self.matrix64 = (unit_rows(np.float64) if precision == "float64"
+                         else None)
         # optional in-shard IVF: coarse centroids + member lists built
         # ONCE here (actor __init__), so query_ivf scans ~nprobe/nlist
         # of the shard instead of all of it
         self.ivf = None
         if ivf_nlist and len(self.ids) > ivf_nlist:
-            from ..ops.similarity import _kmeans_centroids
             sample = self.matrix[:min(len(self.ids), 4096)] \
                 .astype(np.float64)
             cents = _kmeans_centroids(sample, ivf_nlist) \
@@ -88,43 +90,20 @@ class AnnIndexActor:
             dim = self.matrix.shape[1]
             if dim % pq_m:
                 raise ValueError(f"pq_m={pq_m} must divide dim={dim}")
-            cents, order, starts = self.ivf
-            assign = np.empty(len(self.ids), dtype=np.int64)
-            for j in range(len(cents)):
-                assign[order[starts[j]:starts[j + 1]]] = j
-            resid = self.matrix - cents[assign]          # (n, d) float32
+            resid = self.matrix - cents[assign]           # (n, d) float32
             dsub = dim // pq_m
             samp = resid[:min(len(resid), 8192)].astype(np.float64)
             ksub = int(min(256, max(2, len(samp))))
-            from ..ops.similarity import _kmeans_centroids as _km
             books = np.empty((pq_m, ksub, dsub), dtype=np.float32)
             codes = np.empty((len(resid), pq_m), dtype=np.uint8)
-            def _l2_assign(x, cb, block: int = 262144):
-                # blockwise: the dense (n, ksub) distance matrix for a
-                # million-vector shard would be GBs; cap it at ~256k rows
-                out = np.empty(len(x), dtype=np.int64)
-                cb2 = (cb ** 2).sum(1)[None]
-                for s in range(0, len(x), block):
-                    xx = x[s:s + block]
-                    d2 = ((xx ** 2).sum(1)[:, None] - 2.0 * (xx @ cb.T)
-                          + cb2)
-                    out[s:s + block] = np.argmin(d2, axis=1)
-                return out
-
             for j in range(pq_m):
-                sub = samp[:, j * dsub:(j + 1) * dsub]
-                # plain L2 Lloyd's on residual subvectors (deterministic:
-                # first-k init over the id-ordered sample, fixed iters)
-                cb = sub[:ksub].copy()
-                for _ in range(8):
-                    lab = _l2_assign(sub, cb)
-                    for c in range(ksub):
-                        mem = sub[lab == c]
-                        cb[c] = mem.mean(0) if len(mem) else sub[c % len(sub)]
-                books[j] = cb.astype(np.float32)
-                codes[:, j] = _l2_assign(
-                    resid[:, j * dsub:(j + 1) * dsub].astype(np.float64),
-                    cb).astype(np.uint8)
+                cols = slice(j * dsub, (j + 1) * dsub)
+                # L2 Lloyd's on the residual subvectors of the sample
+                cb = _kmeans_centroids(samp[:, cols], ksub, iters=8,
+                                       metric="l2")
+                books[j] = cb
+                codes[:, j] = _l2_assign(resid[:, cols].astype(np.float64),
+                                         cb)[0]
             self.pq = (books, codes)
 
         # optional navigable-small-world graph index (HNSW-family):
@@ -216,13 +195,9 @@ class AnnIndexActor:
         if self.hnsw is None or ef >= len(self.ids):
             return self.query(vecs, k)
         nbrs, _ = self.hnsw
-        q = np.asarray(vecs, dtype=np.float32)
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        qm = q / qn
+        qm = _unit(np.asarray(vecs, dtype=np.float32))
         ef = max(ef, k)
-        out_ids = np.full((len(qm), k), "", dtype=object)
-        out_sims = np.full((len(qm), k), -np.inf, dtype=np.float32)
+        rows = []
         # several id-spread entry points (plus the long links kept at
         # build) de-fragment clustered data — a single entry can strand
         # the beam inside one cluster's subgraph
@@ -250,10 +225,9 @@ class AnnIndexActor:
                             frontier.append(c)
                     best = sorted(set(best) | set(cand.tolist()),
                                   key=lambda i: -sims[i])[:ef]
-            top = best[:k]
-            out_ids[qi, :len(top)] = self.ids[top]
-            out_sims[qi, :len(top)] = [sims[t] for t in top]
-        return out_ids, out_sims
+            rows.append((np.array([sims[b] for b in best], np.float32),
+                         self.ids[best]))
+        return _topk(rows, k)
 
     def save(self, path: str) -> int:
         """Persist this shard (normalized vectors; normalization is
@@ -273,18 +247,11 @@ class AnnIndexActor:
         return len(self.ids)
 
     def query(self, vecs: np.ndarray, k: int = 10) -> Tuple[np.ndarray, np.ndarray]:
-        """(q, d) query matrix → (ids[q,k], sims[q,k]), cosine descending."""
+        """(q, d) query matrix → (ids[q,k], sims[q,k]), ranked by
+        (-cosine, id)."""
         mat = self.matrix64 if self.matrix64 is not None else self.matrix
-        q = np.asarray(vecs, dtype=mat.dtype)
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        sims = (q / qn) @ mat.T                           # (q, n)
-        k = min(k, sims.shape[1])
-        part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        row = np.arange(sims.shape[0])[:, None]
-        order = np.argsort(-sims[row, part], kind="stable", axis=1)
-        top = part[row, order]
-        return self.ids[top], sims[row, top]
+        sims = _unit(np.asarray(vecs, dtype=mat.dtype)) @ mat.T   # (q, n)
+        return _topk([(s, self.ids) for s in sims], min(k, len(self.ids)))
 
     def query_ivf(self, vecs: np.ndarray, k: int = 10,
                   nprobe: int = 4) -> Tuple[np.ndarray, np.ndarray]:
@@ -295,26 +262,13 @@ class AnnIndexActor:
         if self.ivf is None or nprobe >= len(self.ivf[0]):
             return self.query(vecs, k)
         cents, order, starts = self.ivf
-        q = np.asarray(vecs, dtype=np.float32)
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        qm = q / qn
-        probes = np.argsort(-(qm @ cents.T), kind="stable",
-                            axis=1)[:, :nprobe]
-        out_ids = np.full((len(qm), k), "", dtype=object)
-        out_sims = np.full((len(qm), k), -np.inf, dtype=np.float32)
-        for qi in range(len(qm)):
+        qm = _unit(np.asarray(vecs, dtype=np.float32))
+        rows = []
+        for q, probes in zip(qm, _probe(qm, cents, nprobe)):
             member = np.concatenate([
-                order[starts[p]:starts[p + 1]] for p in probes[qi]])
-            if not len(member):
-                continue
-            sims = self.matrix[member] @ qm[qi]
-            kk = min(k, len(sims))
-            part = np.argpartition(-sims, kk - 1)[:kk]
-            sel = part[np.argsort(-sims[part], kind="stable")]
-            out_ids[qi, :kk] = self.ids[member[sel]]
-            out_sims[qi, :kk] = sims[sel]
-        return out_ids, out_sims
+                order[starts[p]:starts[p + 1]] for p in probes])
+            rows.append((self.matrix[member] @ q, self.ids[member]))
+        return _topk(rows, k)
 
     def query_pq(self, vecs: np.ndarray, k: int = 10, nprobe: int = 4,
                  rerank: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -333,40 +287,24 @@ class AnnIndexActor:
         books, codes = self.pq
         pq_m, ksub, dsub = books.shape
         rerank = rerank or 4 * k
-        q = np.asarray(vecs, dtype=np.float32)
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        qm = q / qn
-        nprobe = min(nprobe, len(cents))
+        qm = _unit(np.asarray(vecs, dtype=np.float32))
         coarse = qm @ cents.T                            # (Q, nlist)
-        probes = np.argsort(-coarse, kind="stable", axis=1)[:, :nprobe]
-        out_ids = np.full((len(qm), k), "", dtype=object)
-        out_sims = np.full((len(qm), k), -np.inf, dtype=np.float32)
         col = np.arange(pq_m)
-        for qi in range(len(qm)):
+        rows = []
+        for qi, probes in enumerate(_probe(qm, cents, nprobe)):
             # one LUT per query: LUT[j, c] = q_sub_j · codebook_j[c]
             lut = np.einsum("jd,jkd->jk",
                             qm[qi].reshape(pq_m, dsub), books)
-            members, adc = [], []
-            for p in probes[qi]:
-                mem = order[starts[p]:starts[p + 1]]
-                if not len(mem):
-                    continue
-                members.append(mem)
-                adc.append(coarse[qi, p] + lut[col, codes[mem]].sum(axis=1))
-            if not members:
-                continue
-            members = np.concatenate(members)
-            adc = np.concatenate(adc)
-            rr = min(rerank, len(members))
-            cand = members[np.argpartition(-adc, rr - 1)[:rr]]
-            sims = self.matrix[cand] @ qm[qi]
-            kk = min(k, len(cand))
-            part = np.argpartition(-sims, kk - 1)[:kk]
-            sel = part[np.argsort(-sims[part], kind="stable")]
-            out_ids[qi, :kk] = self.ids[cand[sel]]
-            out_sims[qi, :kk] = sims[sel]
-        return out_ids, out_sims
+            members = np.concatenate([
+                order[starts[p]:starts[p + 1]] for p in probes])
+            lists = np.repeat(probes, starts[probes + 1] - starts[probes])
+            adc = coarse[qi, lists] + lut[col, codes[members]].sum(axis=1)
+            # the shortlist ranks by (-adc, row); the exact re-rank below
+            # ranks what is reported by (-sim, id)
+            cand, _ = _topk([(adc, members)], min(rerank, len(members)))
+            cand = cand[0].astype(np.int64)
+            rows.append((self.matrix[cand] @ qm[qi], self.ids[cand]))
+        return _topk(rows, k)
 
     def hnsw_graph(self) -> Optional[np.ndarray]:
         """Adjacency (n, m + n_long) int32 of the NSW graph, for tests
@@ -390,17 +328,14 @@ def _shard_opts(scheduling_strategy: Optional[str] = None):
 
 
 def merge_topk(parts, k: int):
-    """Merge per-shard (ids, sims) top-k results into a global top-k.
-    Shared by the pool's query methods and by map tasks that fan a batch
-    of queries over the shard actors themselves."""
+    """Merge per-shard (ids, sims) top-k results into a global top-k,
+    ranked by (-sim, id) like each shard's, so the merged answer does not
+    depend on the shard count. Shared by the pool's query methods and by
+    map tasks that fan a batch of queries over the shard actors
+    themselves."""
     ids = np.concatenate([p[0] for p in parts], axis=1)
     sims = np.concatenate([p[1] for p in parts], axis=1)
-    kk = min(k, sims.shape[1])
-    row = np.arange(sims.shape[0])[:, None]
-    part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-    order = np.argsort(-sims[row, part], kind="stable", axis=1)
-    top = part[row, order]
-    return ids[row, top], sims[row, top]
+    return _topk(zip(sims, ids), min(k, sims.shape[1]))
 
 
 class AnnShardPool:

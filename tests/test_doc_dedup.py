@@ -178,7 +178,8 @@ def test_topk_cosine_ivf(ray_session):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
-    from agraph_ray.ops.similarity import topk_cosine, topk_cosine_ivf
+    from agraph_ray.ops.similarity import (embedding_join, topk_cosine,
+                                           topk_cosine_ivf)
     rng = np.random.default_rng(11)
     centers = rng.standard_normal((4, 16)) * 3
     vecs = np.concatenate([c + rng.standard_normal((50, 16))
@@ -202,6 +203,52 @@ def test_topk_cosine_ivf(ray_session):
     truth = {(q, v) for q, _, v in brute}
     recall = len(hits & truth) / len(truth)
     assert recall >= 0.8
+
+    # exact ties at the k-th place: twelve copies of the query in one
+    # block; every scan keeps the k smallest tied ids
+    rng = np.random.default_rng(1)
+    vecs = rng.standard_normal((5000, 8))
+    q = rng.standard_normal(8)
+    dup = rng.choice(5000, 12, replace=False)
+    vecs[dup] = q
+    ds = rd.from_arrow(pa.table({
+        "vec_id": list(range(len(vecs))),
+        "embedding": [v.tolist() for v in vecs]}))
+    tied = sorted(dup.tolist())
+    assert tied[:5] == [867, 917, 1766, 2199, 2354]
+
+    def ids(d, col="vec_id"):
+        return [r[col] for r in sorted(d.take_all(),
+                                        key=lambda r: r["rank"])]
+
+    qds = rd.from_arrow(pa.table({"vec_id": [-1],
+                                  "embedding": [q.tolist()]}))
+    for k in (5, 7):
+        assert ids(topk_cosine(ds, q[None], k=k)) == tied[:k]
+        assert ids(topk_cosine_ivf(ds, q[None], k=k, nlist=8,
+                                   nprobe=8)) == tied[:k]
+        assert ids(embedding_join(qds, ds, k=k), "b_id") == tied[:k]
+
+
+def test_topk_cosine_lsh_ranks_on_returned_sim(ray_session):
+    """The LSH scan ranks by the 6-place sim it returns, then vec_id: two
+    cosines that round to the same value tie, and the smaller id wins."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+    from agraph_ray.ops.similarity import topk_cosine_lsh
+    q = np.eye(8)[0]
+
+    def at_cos(c):
+        v = np.zeros(8)
+        v[0], v[1] = c, np.sqrt(1.0 - c * c)
+        return v.tolist()
+
+    ds = rd.from_arrow(pa.table({
+        "vec_id": [1, 2], "embedding": [at_cos(0.9999996),
+                                        at_cos(0.9999999)]}))
+    rows = topk_cosine_lsh(ds, q[None], k=1).take_all()
+    assert [(r["vec_id"], r["sim"]) for r in rows] == [(1, 1.0)]
 
 
 def test_dedup_against_incremental(ray_session):

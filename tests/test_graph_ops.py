@@ -429,6 +429,29 @@ def test_ann_pool_save_load_roundtrip(ray_session, tmp_path):
     assert np.allclose(sims1, sims3, atol=1e-5)
 
 
+def test_ann_ties_rank_by_id_at_any_shard_count(ray_session):
+    """Exact copies of the query tie; every shard query and the merge
+    rank them by id, so the pool's answer does not depend on how many
+    shards hold the rows."""
+    import numpy as np
+    import ray
+    from agraph_ray.state.ann import AnnIndexActor, AnnShardPool
+    rng = np.random.default_rng(23)
+    q = rng.normal(size=(1, 8)).astype("float32")
+    mat = rng.normal(size=(23, 8)).astype("float32")
+    ids = [f"v{i}" for i in range(23)]
+    for pos, name in zip((4, 11, 19), ("t3", "t1", "t2")):
+        mat[pos], ids[pos] = q[0], name
+    actor = AnnIndexActor.remote(ids, mat, ivf_nlist=2, pq_m=4)
+    for call in (actor.query.remote(q, 2),
+                 actor.query_ivf.remote(q, 2, nprobe=1),
+                 actor.query_pq.remote(q, 2, 1, 23)):
+        assert ray.get(call)[0][0].tolist() == ["t1", "t2"]
+    for n in (1, 2, 3):
+        top, _ = AnnShardPool(ids, mat, num_shards=n).query(q, k=2)
+        assert top[0].tolist() == ["t1", "t2"], n
+
+
 def test_ann_actor_ivf_probing(ray_session):
     import numpy as np
     from agraph_ray.state.ann import AnnIndexActor

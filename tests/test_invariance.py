@@ -73,6 +73,10 @@ def _normalize(result) -> pd.DataFrame:
                 else v)
         if df[c].dtype == np.float64:
             df[c] = df[c].round(9)
+        elif df[c].dtype == object:
+            # one null representation (None), whichever of None / NaN the
+            # producer wrote; the same cells stay null
+            df[c] = df[c].where(df[c].notna(), None)
     order = np.lexsort(
         [df[c].astype(str).to_numpy() for c in df.columns])
     return df.iloc[order].reset_index(drop=True)
