@@ -335,7 +335,11 @@ def merge_topk(parts, k: int):
     themselves."""
     ids = np.concatenate([p[0] for p in parts], axis=1)
     sims = np.concatenate([p[1] for p in parts], axis=1)
-    return _topk(zip(sims, ids), min(k, sims.shape[1]))
+    # a shard's '' / -inf pads are not candidates (and '' need not
+    # compare with the ids); _topk pads the merged rows again
+    real = sims > -np.inf
+    return _topk(((s[r], i[r]) for s, i, r in zip(sims, ids, real)),
+                 min(k, sims.shape[1]))
 
 
 class AnnShardPool:

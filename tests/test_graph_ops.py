@@ -710,6 +710,16 @@ def test_ann_pool_pq_merge(ray_session):
     assert rec >= 0.8, rec
     assert p_ids.shape == (3, 5)
 
+    # integer ids, k beyond what one probed list holds: each shard pads
+    # with '' / -inf, and the merge ranks the real ids ahead of the pads
+    pool = AnnShardPool(list(range(1024)), mat, num_shards=3,
+                        ivf_nlist=8, pq_m=4)
+    p_ids, p_sims = pool.query_pq(q[:1], k=400, nprobe=1, rerank=400)
+    real = p_sims[0] > -np.inf
+    assert 0 < real.sum() < 400 and not real[real.sum():].any()
+    assert all(isinstance(i, (int, np.integer)) for i in p_ids[0][real])
+    assert set(p_ids[0][~real]) == {""}
+
 
 def test_ann_actor_hnsw_recall_floor(ray_session):
     """NSW-graph index (vectorized NN-descent build + beam search):
