@@ -383,8 +383,7 @@ def _embedding_join_broadcast(a: "ray.data.Dataset", b: "ray.data.Dataset",
     ids_b = np.concatenate(ids_b) if ids_b else np.empty(0, np.int64)
     vecs_b = (np.concatenate(vecs_b) if vecs_b
               else np.empty((0, 1), np.float64))
-    order = np.argsort(ids_b)
-    ref = ray.put((ids_b[order], _unit(vecs_b[order])))
+    ref = ray.put((ids_b, _unit(vecs_b)))
 
     def local(batch: pa.Table) -> pa.Table:
         bid, bunit = ray.get(ref)
