@@ -101,12 +101,13 @@ def _probe(qm: np.ndarray, cents: np.ndarray, nprobe: int) -> np.ndarray:
     return top.astype(np.int64)
 
 
-def _rank_topk(df: pd.DataFrame, key: str, id_col: str,
-               k: int) -> pd.DataFrame:
+def _rank_topk(df: pd.DataFrame, key: str, id_col: str, k: int,
+               score: str = "sim") -> pd.DataFrame:
     """The per-query final reduce: partial top-k rows (``key``,
-    ``id_col``, ``sim``) → each ``key``'s top k by (-sim, id), with its
-    1-based ``rank``."""
-    df = df.sort_values([key, "sim", id_col], ascending=[True, False, True],
+    ``id_col``, ``score``) → each ``key``'s top k by (-score, id), with
+    its 1-based ``rank``. The vector top-k, :func:`rrf_fuse` and BM25
+    (ops/text.py) all cut through it."""
+    df = df.sort_values([key, score, id_col], ascending=[True, False, True],
                         kind="mergesort")
     df = df.groupby(key, sort=False).head(k).copy()
     df["rank"] = df.groupby(key, sort=False).cumcount() + 1
@@ -460,11 +461,8 @@ def rrf_fuse(rankings: "list", k_rrf: int = 60, topk: int = 10,
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby([query_col, id_col], as_index=False,
                        sort=False)["s"].sum()
-        g = g.sort_values([query_col, "s", id_col],
-                          ascending=[True, False, True], kind="mergesort")
-        g = g.groupby(query_col, sort=False).head(topk).copy()
-        g["rank"] = g.groupby(query_col, sort=False).cumcount() + 1
-        return g.rename(columns={"s": "rrf_nano"})
+        return _rank_topk(g, query_col, id_col, topk, "s").rename(
+            columns={"s": "rrf_nano"})
 
     return bucketed_group_reduce(u, [query_col], fold, num_buckets)
 

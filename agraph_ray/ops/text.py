@@ -1064,6 +1064,7 @@ def bm25_topk(ds: "ray.data.Dataset", queries: dict, k: int = 10,
     import ray
 
     from ..stages.common import bucketed_group_reduce
+    from .similarity import _rank_topk
 
     terms = sorted({t for ts in queries.values() for t in ts})
     term_set = set(terms)
@@ -1148,10 +1149,7 @@ def bm25_topk(ds: "ray.data.Dataset", queries: dict, k: int = 10,
         agg = df.groupby(["query_id", id_col], as_index=False)["s"].sum()
         agg["score_scaled"] = np.floor(
             agg["s"] * 1_000_000 + 0.5).astype(np.int64)
-        agg = agg.sort_values(["score_scaled", id_col],
-                              ascending=[False, True], kind="stable")
-        out = agg.groupby("query_id", sort=False).head(k).copy()
-        out["rank"] = out.groupby("query_id", sort=False).cumcount() + 1
+        out = _rank_topk(agg, "query_id", id_col, k, "score_scaled")
         return out[["query_id", id_col, "score_scaled", "rank"]]
 
     scored = rows.map_batches(contrib, batch_format="pyarrow")
