@@ -29,6 +29,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from ..stages.common import hash_frame
+
 # two independent 16-byte hash keys for double hashing: g_j = h1 + j*h2
 _HK1 = "0123456789123456"
 _HK2 = "fedcba9876543210"
@@ -60,7 +62,7 @@ def build_bloom(build: "ray.data.Dataset", on: str,
             block)
         if len(t) == 0:
             return acc
-        pos = _positions(t[on].to_pandas(), m_bits, k).ravel()
+        pos = _positions(hash_frame(t, [on])[on], m_bits, k).ravel()
         acc = acc.copy()   # accumulators may be shared plasma buffers
         np.bitwise_or.at(acc, (pos >> np.uint64(3)).astype(np.int64),
                          (np.uint8(1) << (pos & np.uint64(7)).astype(
@@ -109,7 +111,7 @@ def bloom_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
     def split(t: pa.Table, positive: bool) -> pa.Table:
         if len(t) == 0:
             return t
-        m = _member_mask(ray.get(ref), t[on].to_pandas(), m_bits, k)
+        m = _member_mask(ray.get(ref), hash_frame(t, [on])[on], m_bits, k)
         return t.filter(pa.array(m if positive else ~m))
 
     positives = probe.map_batches(lambda t: split(t, True),

@@ -9,11 +9,11 @@ The quadratic work only ever happens *inside a bucket*, never globally —
 the distributed replacement for the reference's O(n²) candidate scan
 (agraph/builders/llm_builders.py:413-435).
 
-Size constants, each read on the driver once per call:
+The kill lists of :func:`line_dedup`, :func:`neardedup_against` and
+:func:`minhash_dedup` anti-join out through ``ops/join.py::auto_join``,
+which picks broadcast or co-group. Size constants, each read on the
+driver once per call:
 
-- ``_KILL_BROADCAST_ROWS`` (2M rows): the kill lists of
-  :func:`line_dedup` and :func:`neardedup_against` ride ``ray.put`` up to
-  it, and anti-join back through a co-group above it;
 - ``_SEMI_JOIN_IDS`` (20M ids): candidate verification filters the texts
   to the candidates' ids up to it, and shingles every text above it;
 - ``_BROADCAST_IDS`` (200k ids) and ``_BROADCAST_BYTES`` (512 MB): up to
@@ -35,7 +35,6 @@ import pyarrow.compute as pc
 
 from .similarity import _unit
 
-_KILL_BROADCAST_ROWS = 2_000_000
 _SEMI_JOIN_IDS = 20_000_000
 _BROADCAST_IDS = 200_000
 _BROADCAST_BYTES = 512 << 20
@@ -201,15 +200,13 @@ def line_dedup(ds: "ray.data.Dataset", id_col: str = "conv_id",
 
     Scale shape: only ``(16-byte md5, id, pos)`` rides the winner shuffle —
     never the text. The kill list (duplicate occurrences only, bounded by
-    the duplicate mass, not the corpus) is broadcast as a set while it has
-    <= ``_KILL_BROADCAST_ROWS`` rows; past that it anti-joins back to the
-    input via the bucketed co-group (one more shuffle, no driver state).
+    the duplicate mass, not the corpus) anti-joins back to the input on
+    ``(id, pos)`` through ``ops/join.py::auto_join``.
     """
-    import ray
     import ray.data as rd
 
     from ..stages.common import arrow_col_type, bucketed_group_reduce
-    from .join import cogroup_join
+    from .join import auto_join
 
     def sig(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -228,24 +225,10 @@ def line_dedup(ds: "ray.data.Dataset", id_col: str = "conv_id",
     kills = bucketed_group_reduce(
         ds.select_columns([id_col, pos_col, text_col]).map_batches(
             sig, batch_format="pyarrow"),
-        ["h"], losers, num_buckets, schema=kill_schema).materialize()
-
-    if kills.count() <= _KILL_BROADCAST_ROWS:
-        dead = set()
-        for b in kills.iter_batches(batch_size=None, batch_format="pyarrow"):
-            dead.update(zip(b[id_col].to_pylist(), b[pos_col].to_pylist()))
-        dead_ref = ray.put(dead)
-
-        def keep(batch: pa.Table) -> pa.Table:
-            d = ray.get(dead_ref)
-            mask = pa.array([(i, p) not in d for i, p in
-                             zip(batch[id_col].to_pylist(),
-                                 batch[pos_col].to_pylist())])
-            return batch.filter(mask)
-
-        return ds.map_batches(keep, batch_format="pyarrow")
-    return cogroup_join(ds, kills.union(rd.from_arrow(
-        kill_schema.empty_table())), on=[id_col, pos_col], how="anti")
+        ["h"], losers, num_buckets, schema=kill_schema).union(
+        rd.from_arrow(kill_schema.empty_table()))
+    return auto_join(ds, kills, [id_col, pos_col], how="anti",
+                     num_buckets=num_buckets)
 
 
 def dedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
@@ -296,15 +279,14 @@ def neardedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
     bucket emits nothing. Verification co-groups candidate-incident
     shingle sets through the same two bucketed shuffles as
     :func:`minhash_dedup` (semi-join pruned). The kill list (new ids with
-    a confirmed existing near-dup, bounded by the duplicate mass) is
-    broadcast under ``_KILL_BROADCAST_ROWS`` rows, else anti-joined back
-    via the bucketed co-group. Within-batch near-dups are out of scope —
-    run :func:`minhash_dedup` on ``new`` first if needed."""
-    import ray
+    a confirmed existing near-dup, bounded by the duplicate mass)
+    anti-joins back through ``ops/join.py::auto_join``. Within-batch
+    near-dups are out of scope — run :func:`minhash_dedup` on ``new``
+    first if needed."""
     import ray.data as rd
 
     from ..stages.common import arrow_col_type, bucketed_group_reduce
-    from .join import cogroup_join
+    from .join import auto_join
 
     signer = MinHashSigner(num_perm, bands, text_col=text_col,
                            id_col=id_col)
@@ -374,28 +356,13 @@ def neardedup_against(new: "ray.data.Dataset", existing: "ray.data.Dataset",
     scored = _jaccard_scored_pairs(texts_all, cand, signer, id_col,
                                    text_col)
     kills = scored.map_batches(
-        lambda t: t.filter(pc.greater_equal(
-            t["jaccard"], jaccard_threshold)).select(["a"]),
-        batch_format="pyarrow").materialize()
-
-    if kills.count() <= _KILL_BROADCAST_ROWS:
-        dead: set = set()
-        for b in kills.iter_batches(batch_size=None, batch_format="pyarrow"):
-            dead.update(b["a"].to_pylist())
-        dead_ref = ray.put(dead)
-
-        def keep(batch: pa.Table) -> pa.Table:
-            d = ray.get(dead_ref)
-            vals = pc.cast(batch[id_col].combine_chunks(),
-                           id_t).to_pylist()
-            return batch.filter(pa.array([v not in d for v in vals]))
-
-        return new.map_batches(keep, batch_format="pyarrow")
-    kills_typed = kills.map_batches(
         lambda t: pa.Table.from_arrays(
-            [pc.cast(t["a"].combine_chunks(), id_t)], names=[id_col]),
-        batch_format="pyarrow")
-    return cogroup_join(new, kills_typed, on=[id_col], how="anti")
+            [pc.cast(t.filter(pc.greater_equal(
+                t["jaccard"], jaccard_threshold))["a"], id_t)],
+            names=[id_col]),
+        batch_format="pyarrow").union(
+        rd.from_arrow(pa.schema([(id_col, id_t)]).empty_table()))
+    return auto_join(new, kills, [id_col], how="anti")
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +748,12 @@ def minhash_dedup(ds: "ray.data.Dataset", text_col: str = "text",
     """Near-dup dedup: LSH candidates → exact token-shingle Jaccard verify →
     connected components → survivors (min id per component + singletons).
 
-    The verify stage is fully distributed (``_jaccard_scored_pairs``); only
-    the matched-duplicate id set — bounded by the number of near-dups, not
-    the corpus — is broadcast for the survivor filter."""
-    import ray
-    from ..state.unionfind import connected_components
+    The verify stage is fully distributed (``_jaccard_scored_pairs``); the
+    matched-duplicate ids — bounded by the number of near-dups, not the
+    corpus — anti-join out through ``ops/join.py::auto_join``."""
+    from ..stages.common import arrow_col_type
+    from ..state.unionfind import connected_components, non_min_members
+    from .join import auto_join
 
     texts = ds.select_columns([id_col, text_col])
     cand = minhash_lsh_groups(texts, text_col, id_col, num_perm, bands,
@@ -801,31 +769,11 @@ def minhash_dedup(ds: "ray.data.Dataset", text_col: str = "text",
             names=["src", "dst"])
 
     matches = scored.map_batches(to_match, batch_format="pyarrow")
-    labels = connected_components(matches)
-    # survivor = min id per component, compared in the id column's OWN
-    # type — numeric min for integer ids (the string component label is
-    # the lexicographic min: "102" < "2"), plain min for string ids.
-    # Membership is bounded by the matched-duplicate set, never the corpus.
-    from ..stages.common import arrow_col_type
-    int_ids = pa.types.is_integer(arrow_col_type(ds, id_col))
-    comp_min: dict = {}
-    members = []
-    for b in labels.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for node, lab in zip(b["node"].to_pylist(), b["label"].to_pylist()):
-            v = int(node) if int_ids else node
-            members.append((v, lab))
-            if lab not in comp_min or v < comp_min[lab]:
-                comp_min[lab] = v
-    dup_ids = {v for v, lab in members if v != comp_min[lab]}
-
-    dup_ref = ray.put(dup_ids)
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        dead = ray.get(dup_ref)
-        mask = pa.array([i not in dead for i in batch[id_col].to_pylist()])
-        return batch.filter(mask)
-
-    return ds.map_batches(survivors, batch_format="pyarrow")
+    # survivor = min id per component, compared in the id column's own
+    # type; the kill list is bounded by the matched-duplicate set
+    dups = non_min_members(connected_components(matches), id_col,
+                           arrow_col_type(ds, id_col))
+    return auto_join(ds, dups, [id_col], how="anti")
 
 
 # ---------------------------------------------------------------------------

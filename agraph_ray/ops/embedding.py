@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.common import bucketed_group_reduce, distinct_on
+from ..stages.common import arrow_col_type, bucketed_group_reduce, distinct_on
 from .similarity import _batch_vecs, _sample_centroids, _unit
 
 __all__ = ["label_centroids", "centroid_outlier_scores", "semdedup_pairs",
@@ -175,12 +175,11 @@ def semdedup(ds: "ray.data.Dataset", threshold: float = 0.95,
              id_col: str = "vec_id") -> "ray.data.Dataset":
     """Semantic dedup: drop every vector that has a semantic near-dup
     with a smaller id (SemDeDup's keep-one-per-group rule via connected
-    components over the candidate pairs). Only the matched-duplicate id
-    set — bounded by the duplicate count, not the corpus — is broadcast
-    for the survivor filter."""
-    import ray
-
-    from ..state.unionfind import connected_components
+    components over the candidate pairs). The matched-duplicate ids —
+    bounded by the duplicate count, not the corpus — anti-join out through
+    ``ops/join.py::auto_join``."""
+    from ..state.unionfind import connected_components, non_min_members
+    from .join import auto_join
 
     cand = semdedup_pairs(ds, threshold, n_clusters, vec_col, id_col)
 
@@ -188,31 +187,11 @@ def semdedup(ds: "ray.data.Dataset", threshold: float = 0.95,
         return pa.table({"src": pc.cast(t["a"], pa.string()),
                          "dst": pc.cast(t["b"], pa.string())})
 
-    labels = connected_components(cand.map_batches(to_match,
-                                                   batch_format="pyarrow"))
-    # numeric min per component (the string component label is the
-    # LEXICOGRAPHIC min — "102" < "2" — so recompute the survivor
-    # numerically). Size is bounded by duplicate-incident ids, not the
-    # corpus.
-    comp_min: dict = {}
-    members: list = []
-    for b in labels.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for node, lab in zip(b["node"].to_pylist(), b["label"].to_pylist()):
-            v = int(node)
-            members.append((v, lab))
-            if lab not in comp_min or v < comp_min[lab]:
-                comp_min[lab] = v
-    dup_ids = {v for v, lab in members if v != comp_min[lab]}
-    ref = ray.put(dup_ids)
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        dead = ray.get(ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        mask = np.fromiter((i not in dead for i in ids), dtype=bool,
-                           count=len(ids))
-        return batch.filter(pa.array(mask))
-
-    return ds.map_batches(survivors, batch_format="pyarrow")
+    dups = non_min_members(
+        connected_components(cand.map_batches(to_match,
+                                              batch_format="pyarrow")),
+        id_col, arrow_col_type(ds, id_col))
+    return auto_join(ds, dups, [id_col], how="anti")
 
 
 def embedding_pca(ds: "ray.data.Dataset", vec_col: str = "embedding",

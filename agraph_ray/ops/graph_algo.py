@@ -5,8 +5,9 @@ with the classic large-graph kernels a training-data / analytics engine
 needs: co-occurrence edge building, exact triangle counting, and PageRank.
 All three follow the repo's shuffle discipline — per-batch combiners before
 every wide step, ``bucketed_group_reduce`` with vectorized pandas bodies
-instead of per-key ``map_groups``, and small sides broadcast via
-``ray.put`` with a size-guarded fallback to a co-grouped shuffle join.
+instead of per-key ``map_groups``, and keyed lookups (the triangle and
+link-prediction degree tables) joined through ``ops/join.py::auto_join``,
+which broadcasts a small side and co-groups a large one.
 
 Reference parity: the reference keeps whole graphs in one process
 (networkx-style dict graphs, agraph/graph/knowledge_graph.py); these
@@ -18,11 +19,9 @@ Size constants, each read on the driver once per call:
 - ``_DRIVER_EDGES`` (5M edges): :func:`pagerank`, :func:`k_core` and
   :func:`label_propagation` iterate in numpy on the driver up to it, and
   in bucketed shuffle rounds above it;
-- ``_BROADCAST_ROWS`` (20M rows, 160 MB per int64 column): the triangle
-  degree table, the negative-sampling pool and the random-walk adjacency
-  ride ``ray.put`` up to it, and a co-grouped shuffle above it;
-- ``_LINK_DEGREE_BROADCAST_ROWS`` (5M rows): the same choice for the src
-  degree table of :func:`link_prediction_scores`.
+- ``_BROADCAST_ROWS`` (20M rows, 160 MB per int64 column): the
+  negative-sampling pool and the random-walk adjacency ride ``ray.put``
+  up to it, and a co-grouped shuffle above it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from ..stages.common import bucketed_group_reduce, distinct_on
 
 _DRIVER_EDGES = 5_000_000
 _BROADCAST_ROWS = 20_000_000
-_LINK_DEGREE_BROADCAST_ROWS = 5_000_000
 
 __all__ = ["pairs_within_groups", "triangle_counts", "pagerank",
            "personalized_pagerank", "k_core", "label_propagation",
@@ -100,6 +98,15 @@ def pairs_within_groups(ds: "ray.data.Dataset", group_col: str,
     return distinct_on(cand, ["a", "b"])
 
 
+def _ren(ds: "ray.data.Dataset", mapping: dict) -> "ray.data.Dataset":
+    """Rename columns with an explicit pyarrow map: Ray 2.49's
+    ``Dataset.rename_columns`` calls ``.rename_columns`` on the raw block
+    and breaks on pandas blocks, which bucketed reduces emit."""
+    def f(t: pa.Table) -> pa.Table:
+        return t.rename_columns([mapping.get(c, c) for c in t.column_names])
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
 def _degree_table(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """(node, deg) over undirected distinct edges (a < b) — per-batch
     bincount combiner, one small keyed sum."""
@@ -132,13 +139,11 @@ def triangle_counts(edges: "ray.data.Dataset",
     by O(m^1.5)), and close wedges against the oriented edge set with one
     hash co-group — no all-pairs step anywhere.
 
-    The (node → degree) lookup is broadcast once via ``ray.put`` as two
-    sorted numpy arrays when |V| <= ``_BROADCAST_ROWS``, else attached
-    with two co-grouped shuffle joins. Node ids must fit in uint32
-    (packed (deg << 32 | id) orientation key)."""
-    import ray
-
-    from .join import cogroup_join
+    The (node → degree) table is attached to both endpoints with two
+    joins through ``ops/join.py::auto_join`` (broadcast while small).
+    Node ids must fit in uint32 (packed (deg << 32 | id) orientation
+    key)."""
+    from .join import auto_join
 
     def norm(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -154,70 +159,26 @@ def triangle_counts(edges: "ray.data.Dataset",
         edges.select_columns(["a", "b"]).map_batches(
             norm, batch_format="pyarrow"),
         ["a", "b"]).materialize()
-    deg = _degree_table(und).materialize()
-    n_nodes = deg.count()
+    deg = _degree_table(und).materialize()   # attached to both ends
+    withdeg = auto_join(
+        auto_join(und, _ren(deg, {"node": "a", "deg": "da"}), ["a"]),
+        _ren(deg, {"node": "b", "deg": "db"}), ["b"])
 
-    if n_nodes <= _BROADCAST_ROWS:
-        ids = np.empty(n_nodes, dtype=np.int64)
-        ds_ = np.empty(n_nodes, dtype=np.int64)
-        off = 0
-        for bt in deg.sort("node").iter_batches(batch_size=None, batch_format="pyarrow"):
-            k = len(bt)
-            ids[off:off + k] = bt["node"].to_numpy(zero_copy_only=False)
-            ds_[off:off + k] = bt["deg"].to_numpy(zero_copy_only=False)
-            off += k
-        ref = ray.put((ids, ds_))
+    def orient(t: pa.Table) -> pa.Table:
+        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        da = t["da"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        db = t["db"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        orda = (da << np.uint64(32)) | a.astype(np.uint64)
+        ordb = (db << np.uint64(32)) | b.astype(np.uint64)
+        a_first = orda < ordb
+        return pa.table({
+            "src": pa.array(np.where(a_first, a, b), pa.int64()),
+            "dst": pa.array(np.where(a_first, b, a), pa.int64()),
+            "dord": pa.array(np.where(a_first, ordb, orda)
+                             .astype(np.int64))})
 
-        def orient(t: pa.Table) -> pa.Table:
-            nid, ndeg = ray.get(ref)
-            a = t["a"].to_numpy(zero_copy_only=False)
-            b = t["b"].to_numpy(zero_copy_only=False)
-            da = ndeg[np.searchsorted(nid, a)]
-            db = ndeg[np.searchsorted(nid, b)]
-            orda = (da.astype(np.uint64) << np.uint64(32)) | a.astype(np.uint64)
-            ordb = (db.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
-            a_first = orda < ordb
-            return pa.table({
-                "src": pa.array(np.where(a_first, a, b), pa.int64()),
-                "dst": pa.array(np.where(a_first, b, a), pa.int64()),
-                "dord": pa.array(np.where(a_first, ordb, orda)
-                                 .astype(np.int64))})
-
-        oriented = und.map_batches(orient, batch_format="pyarrow")
-    else:
-        # shuffle-join path: attach deg to each endpoint, then orient.
-        # (explicit pyarrow rename: Ray 2.49's Dataset.rename_columns
-        # calls .rename_columns on the raw block and breaks on pandas
-        # blocks, which bucketed reduces emit)
-        def _ren(ds2, mapping):
-            def f(t: pa.Table) -> pa.Table:
-                return t.rename_columns(
-                    [mapping.get(c, c) for c in t.column_names])
-            return ds2.map_batches(f, batch_format="pyarrow")
-
-        withdeg = _ren(cogroup_join(
-            _ren(und, {"a": "node"}), deg, on=["node"],
-            how="inner"), {"node": "a", "deg": "da"})
-        withdeg = _ren(cogroup_join(
-            _ren(withdeg, {"b": "node"}), deg, on=["node"],
-            how="inner"), {"node": "b", "deg": "db"})
-
-        def orient2(t: pa.Table) -> pa.Table:
-            a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            da = t["da"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            db = t["db"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            orda = (da << np.uint64(32)) | a.astype(np.uint64)
-            ordb = (db << np.uint64(32)) | b.astype(np.uint64)
-            a_first = orda < ordb
-            return pa.table({
-                "src": pa.array(np.where(a_first, a, b), pa.int64()),
-                "dst": pa.array(np.where(a_first, b, a), pa.int64()),
-                "dord": pa.array(np.where(a_first, ordb, orda)
-                                 .astype(np.int64))})
-
-        oriented = withdeg.map_batches(orient2, batch_format="pyarrow")
-
+    oriented = withdeg.map_batches(orient, batch_format="pyarrow")
     oriented = oriented.materialize()   # consumed by wedges AND closing
 
     wedge_schema = pa.schema([("x", pa.int64()), ("y", pa.int64()),
@@ -559,12 +520,6 @@ def k_core(edges: "ray.data.Dataset", k: int,
             _driver_k_core(und.to_pandas(), k), preserve_index=False)
             .cast(empty.schema) if und.count() else empty)
 
-    def _ren(ds2, mapping):
-        def f(t: pa.Table) -> pa.Table:
-            return t.rename_columns(
-                [mapping.get(c, c) for c in t.column_names])
-        return ds2.map_batches(f, batch_format="pyarrow")
-
     for _ in range(max_rounds):
         deg = _degree_table(und).materialize()
         bad = deg.filter(expr=f"deg < {k}").select_columns(["node"]
@@ -845,14 +800,12 @@ def link_prediction_scores(edges: "ray.data.Dataset", src: str, dst: str,
     because all rows of a dst are co-located, the neighbor degree (the
     1/ln(deg) Adamic-Adar weight) is just the in-bucket group size, so no
     separate degree pass or join is needed. One (a, b)-keyed reduce sums
-    cn/aa. Src degrees (for Jaccard) are a tiny keyed count broadcast via
-    ``ray.put`` up to ``_LINK_DEGREE_BROADCAST_ROWS`` rows, co-group
-    joined above it. Groups larger
+    cn/aa. Src degrees (for Jaccard) are a tiny keyed count attached to
+    both ends through ``ops/join.py::auto_join``. Groups larger
     than ``max_group`` are skipped entirely (quadratic guard; a hub dst
     shared by everyone carries ~zero Adamic-Adar signal anyway) — mirror
     the same HAVING bound in any oracle."""
-    import ray
-    from .join import cogroup_join
+    from .join import auto_join
 
     # materialized once: both the pair chain and the degree chain consume
     # it — lazy, the distinct shuffle would execute twice
@@ -933,73 +886,25 @@ def link_prediction_scores(edges: "ray.data.Dataset", src: str, dst: str,
                             ("cn", pa.int64()), ("aa_micro", pa.int64()),
                             ("jac_micro", pa.int64())])
 
-    # size probe and collect in ONE pass (count + to_pandas would run the
-    # degree reduce twice); cap trips conservatively mid-stream
-    s_l, ds_l, nrows, over = [], [], 0, False
-    it = deg.iter_batches(batch_size=None, batch_format="pyarrow")
-    for bt in it:
-        s_l.append(bt["s"].to_numpy(zero_copy_only=False))
-        ds_l.append(bt["ds"].to_numpy(zero_copy_only=False))
-        nrows += len(bt["s"])
-        if nrows > _LINK_DEGREE_BROADCAST_ROWS:
-            over = True
-            del it
-            break
+    def score(t: pa.Table) -> pa.Table:
+        cn = t["cn"].to_numpy(zero_copy_only=False).astype(np.float64)
+        da = t["ds_a"].to_numpy(zero_copy_only=False)
+        db = t["ds_b"].to_numpy(zero_copy_only=False)
+        jac = cn / (da + db - cn)
+        aa = t["aa"].to_numpy(zero_copy_only=False)
+        return pa.table({
+            "a": t["a"], "b": t["b"], "cn": t["cn"],
+            "aa_micro": pa.array(
+                np.floor(aa * 1e6 + 0.5).astype(np.int64), pa.int64()),
+            "jac_micro": pa.array(
+                np.floor(jac * 1e6 + 0.5).astype(np.int64), pa.int64())})
 
-    if not over:
-        ref = ray.put((
-            np.concatenate(s_l) if s_l else np.zeros(0, np.int64),
-            np.concatenate(ds_l) if ds_l else np.zeros(0, np.int64)))
-
-        def score(t: pa.Table) -> pa.Table:
-            s_sorted, ds_v = ray.get(ref)
-            o = np.argsort(s_sorted, kind="stable")
-            s_sorted, ds_v = s_sorted[o], ds_v[o]
-            a = t["a"].to_numpy(zero_copy_only=False)
-            b = t["b"].to_numpy(zero_copy_only=False)
-            cn = t["cn"].to_numpy(zero_copy_only=False).astype(np.float64)
-            da = ds_v[np.searchsorted(s_sorted, a)]
-            db = ds_v[np.searchsorted(s_sorted, b)]
-            jac = cn / (da + db - cn)
-            aa = t["aa"].to_numpy(zero_copy_only=False)
-            return pa.table({
-                "a": t["a"], "b": t["b"], "cn": t["cn"],
-                "aa_micro": pa.array(
-                    np.floor(aa * 1e6 + 0.5).astype(np.int64), pa.int64()),
-                "jac_micro": pa.array(
-                    np.floor(jac * 1e6 + 0.5).astype(np.int64),
-                    pa.int64())})
-
-        scored = pairs.map_batches(score, batch_format="pyarrow")
-    else:
-        del s_l, ds_l
-        deg = deg.materialize()  # consumed by two joins below
-        j1 = cogroup_join(
-            pairs, deg.map_batches(
-                lambda t: t.rename_columns(["a", "ds_a"]),
-                batch_format="pyarrow"),
-            on=["a"], num_buckets=num_buckets)
-        j2 = cogroup_join(
-            j1, deg.map_batches(
-                lambda t: t.rename_columns(["b", "ds_b"]),
-                batch_format="pyarrow"),
-            on=["b"], num_buckets=num_buckets)
-
-        def score2(t: pa.Table) -> pa.Table:
-            cn = t["cn"].to_numpy(zero_copy_only=False).astype(np.float64)
-            da = t["ds_a"].to_numpy(zero_copy_only=False)
-            db = t["ds_b"].to_numpy(zero_copy_only=False)
-            jac = cn / (da + db - cn)
-            aa = t["aa"].to_numpy(zero_copy_only=False)
-            return pa.table({
-                "a": t["a"], "b": t["b"], "cn": t["cn"],
-                "aa_micro": pa.array(
-                    np.floor(aa * 1e6 + 0.5).astype(np.int64), pa.int64()),
-                "jac_micro": pa.array(
-                    np.floor(jac * 1e6 + 0.5).astype(np.int64),
-                    pa.int64())})
-
-        scored = j2.map_batches(score2, batch_format="pyarrow")
+    deg = deg.materialize()   # attached to both ends
+    scored = auto_join(
+        auto_join(pairs, _ren(deg, {"s": "a", "ds": "ds_a"}), ["a"],
+                  num_buckets=num_buckets),
+        _ren(deg, {"s": "b", "ds": "ds_b"}), ["b"],
+        num_buckets=num_buckets).map_batches(score, batch_format="pyarrow")
 
     return (scored.map_batches(
         lambda t: t.cast(out_schema), batch_format="pyarrow")

@@ -1,31 +1,38 @@
-"""Distributed joins as bucketed co-groups.
+"""Distributed joins: one merge kernel, two placements.
 
 Ray 2.49's ``Dataset.join`` raises ``ArrowInvalid: No match for
 FieldRef.Name`` when a hash partition on either side comes up empty
 (its per-partition Arrow join probes a column on a zero-field empty
-table — easy to hit with few rows or skewed keys), so the
-engine ships its own partitioned-join primitive: tag both sides, union,
-hash-partition by key into buckets, and run ONE vectorized pandas merge
-per sorted block (``stages/common.py``). Shuffle volume equals a hash
-join's; per-task memory is one block.
+table — easy to hit with few rows or skewed keys), so the engine ships
+its own join. Every keyed join (inner, left, right, full, semi, anti)
+runs one pandas merge kernel, :func:`_merge`, in one of two placements:
 
-For small build sides prefer ``broadcast_join`` — ``ray.put`` the lookup
-once and map over the probe side with zero shuffle (the classic
-map-side/broadcast join).
+- co-group (:func:`cogroup_join`): tag both sides, union, hash-partition
+  by key into buckets, and run the kernel once per sorted block
+  (``stages/common.py``). Shuffle volume equals a hash join's; per-task
+  memory is one block.
+- broadcast (:func:`broadcast_join`, and the hot keys of
+  :func:`skew_join`): the right side is collected and ``ray.put`` once,
+  and the kernel runs once per probe batch against it — the classic
+  map-side join, zero shuffle. Inner, left, semi and anti only.
 
-Size constants, each read on the driver once per call:
+Duplicate keys, null keys and dtypes agree between the placements
+because both run the same kernel. :func:`auto_join` is the one place
+that picks a placement, from one size constant read on the driver once
+per call:
 
-- ``_BROADCAST_JOIN_ROWS`` (500k rows): :func:`auto_join` broadcasts a
-  right side up to it, and co-groups above it;
-- ``_HOT_BUILD_ROWS`` (2M rows): :func:`skew_join` broadcasts the build
-  rows of its hot keys up to it, and falls back to the plain co-group
-  above it.
+- ``_BROADCAST_SIDE_BYTES`` (64 MB): :func:`auto_join` broadcasts a
+  materialized right side up to it and co-groups above it (semi/anti on
+  one key through ``ops/bloom.py::bloom_join``); :func:`skew_join`
+  broadcasts the build rows of its hot keys up to it, and falls back to
+  the plain co-group above it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
@@ -33,83 +40,127 @@ import ray
 from ..stages.common import bucketed_group_reduce
 
 _SIDE = "__side"
-_BROADCAST_JOIN_ROWS = 500_000
-_HOT_BUILD_ROWS = 2_000_000
+_ROW = "__row"
+_BROADCAST_SIDE_BYTES = 64 << 20
+
+
+def _pa_type(t) -> pa.DataType:
+    """Arrow type of a ``Dataset.schema()`` entry (pandas-block schemas
+    hold numpy dtypes; anything unmappable reads as string)."""
+    if isinstance(t, pa.DataType):
+        return t
+    try:
+        return pa.from_numpy_dtype(t)
+    except (pa.ArrowNotImplementedError, TypeError):
+        return pa.string()
+
+
+def _types(ds: "ray.data.Dataset") -> dict:
+    sch = ds.schema()
+    return {n: _pa_type(t) for n, t in zip(sch.names, sch.types)}
+
+
+def _plan(ltypes: dict, rtypes: dict, right: "ray.data.Dataset",
+          on: List[str], how: str):
+    """(right with its keys cast to the left's key types, output schema),
+    from both sides' ``_types``.
+
+    Key dtypes must agree on both sides: the bucket assignment hashes the
+    raw values, so an int32 key and an int64 key with equal values would
+    land in different buckets and silently drop matches."""
+    import pyarrow.compute as pc
+    overlap = (set(ltypes) & set(rtypes)) - set(on)
+    if overlap:
+        raise ValueError(f"non-key columns overlap: {sorted(overlap)}")
+    if any(ltypes[k] != rtypes[k] for k in on):
+        def cast_keys(t: pa.Table) -> pa.Table:
+            for k in on:
+                t = t.set_column(t.schema.get_field_index(k), k,
+                                 pc.cast(t[k], ltypes[k]))
+            return t
+        right = right.map_batches(cast_keys, batch_format="pyarrow")
+    fields = list(ltypes.items())
+    if how not in ("semi", "anti"):
+        fields += [(n, t) for n, t in rtypes.items() if n not in on]
+    return right, pa.schema(fields)
+
+
+def _merge(l: pd.DataFrame, r: pd.DataFrame, on: List[str], how: str,
+           schema: pa.Schema) -> pd.DataFrame:
+    """The join kernel both placements run: ``l`` ⋈ ``r`` on ``on``.
+    ``how``: inner | left | right | full | semi | anti (left-anti).
+    Null keys match each other (pandas merge semantics) on both sides."""
+    if how in ("semi", "anti"):
+        keys = r[on].drop_duplicates()
+        if how == "semi":
+            return l.merge(keys, on=on, how="inner")
+        m = l.merge(keys, on=on, how="left", indicator=True)
+        return m[m["_merge"] == "left_only"].drop(columns=["_merge"])
+    if how not in ("inner", "left", "right", "full"):
+        raise ValueError(f"unknown how={how!r}")
+    out = l.merge(r, on=on, how="outer" if how == "full" else how)
+    # unmatched rows surface the other side's columns as NaN, which
+    # silently promotes ints to float64 — restore the schema's
+    # integer/bool types via nullable dtypes
+    for f in schema:
+        if f.name in out.columns and out[f.name].dtype.kind == "f":
+            if pa.types.is_integer(f.type):
+                out[f.name] = out[f.name].astype(
+                    str(f.type).capitalize().replace("Uint", "UInt"))
+            elif pa.types.is_boolean(f.type):
+                out[f.name] = out[f.name].astype("boolean")
+    return out
 
 
 def cogroup_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                  on: Sequence[str], how: str = "inner",
                  num_buckets: int = 64,
                  schema: Optional[pa.Schema] = None) -> "ray.data.Dataset":
-    """Join two Datasets on ``on`` columns. ``how``: inner | left | right |
-    full | semi | anti (left-anti). Non-key column names must be disjoint.
-    Outer variants emit NULL for the absent side's columns (integer columns
-    pass through pandas' nullable Int dtypes so the pinned Arrow schema
-    keeps its integer types instead of drifting to float)."""
+    """The co-group placement: join two Datasets on ``on`` columns,
+    running :func:`_merge` once per bucketed block. ``how``: inner | left
+    | right | full | semi | anti (left-anti). Non-key column names must
+    be disjoint. Outer variants emit NULL for the absent side's columns
+    (integer columns pass through pandas' nullable Int dtypes so the
+    pinned Arrow schema keeps its integer types instead of drifting to
+    float)."""
     import ray.data as rd
     on = list(on)
-    lschema = left.schema()
-    rschema = right.schema()
-    lcols, rcols = lschema.names, rschema.names
-    overlap = (set(lcols) & set(rcols)) - set(on)
-    if overlap:
-        raise ValueError(f"non-key columns overlap: {sorted(overlap)}")
+    ltypes, rtypes = _types(left), _types(right)
+    right, derived = _plan(ltypes, rtypes, right, on, how)
+    # derived when not given, so even a zero-match join yields typed,
+    # named columns (a groupby over zero rows produces zero blocks and the
+    # result would otherwise lose its schema entirely)
+    schema = derived if schema is None else schema
 
-    # key dtypes must agree on both sides: the bucket assignment hashes the
-    # raw values, so an int32 key and an int64 key with equal values would
-    # land in different buckets and silently drop matches. Cast the right
-    # side's keys to the left side's Arrow types up front.
-    def _as_pa(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
-
-    lkey_types = {n: _as_pa(t) for n, t in zip(lschema.names, lschema.types)
-                  if n in on}
-    rkey_types = {n: _as_pa(t) for n, t in zip(rschema.names, rschema.types)
-                  if n in on}
-    if lkey_types != rkey_types:
-        def cast_keys(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as _pc
-            for k, typ in lkey_types.items():
-                i = t.schema.get_field_index(k)
-                t = t.set_column(i, k, _pc.cast(t[k], typ))
-            return t
-        right = right.map_batches(cast_keys, batch_format="pyarrow")
-
-    if schema is None:
-        # derive the output schema so even a zero-match join yields typed,
-        # named columns (a groupby over zero rows produces zero blocks and
-        # the result would otherwise lose its schema entirely)
-        def _pa_type(t):
-            if isinstance(t, pa.DataType):
-                return t
-            try:
-                return pa.from_numpy_dtype(t)   # pandas-block schemas
-            except (pa.ArrowNotImplementedError, TypeError):
-                return pa.string()
-
-        ltypes = dict(zip(lschema.names, lschema.types))
-        rtypes = dict(zip(rschema.names, rschema.types))
-        fields = [(n, _pa_type(ltypes[n])) for n in lcols]
-        if how in ("inner", "left", "right", "full"):
-            fields += [(n, _pa_type(rtypes[n]))
-                       for n in rcols if n not in on]
-        schema = pa.schema(fields)
+    lval = [c for c in ltypes if c not in on]
+    rval = [c for c in rtypes if c not in on]
+    # Ray's sort concat cannot align blocks of which only some carry an
+    # extension-typed (tensor) column: such columns ride the shuffle as
+    # their storage arrays and get their type back at the end
+    ext = {f.name: f.type for f in schema
+           if isinstance(f.type, pa.ExtensionType)}
+    shuffled = pa.schema([(f.name, ext[f.name].storage_type)
+                          if f.name in ext else f for f in schema])
 
     def tag(side: str):
         def f(t: pa.Table) -> pa.Table:
+            for i, fld in enumerate(t.schema):
+                if isinstance(fld.type, pa.ExtensionType):
+                    t = t.set_column(i, fld.name, pa.chunked_array(
+                        [c.storage for c in t[fld.name].chunks],
+                        fld.type.storage_type))
             return t.append_column(_SIDE, pa.array([side] * len(t)))
         return f
 
+    def restore(t: pa.Table) -> pa.Table:
+        for n, typ in ext.items():
+            t = t.set_column(t.schema.get_field_index(n), n, pa.chunked_array(
+                [pa.ExtensionArray.from_storage(typ, c)
+                 for c in t[n].chunks], typ))
+        return t
+
     both = (left.map_batches(tag("L"), batch_format="pyarrow")
             .union(right.map_batches(tag("R"), batch_format="pyarrow")))
-
-    rval = [c for c in rcols if c not in on]
-    lval = [c for c in lcols if c not in on]
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         # reindex: a bucket whose rows all come from one side never saw the
@@ -117,41 +168,57 @@ def cogroup_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         # union) — the missing columns materialize as empty/NaN
         l = df[df[_SIDE] == "L"].reindex(columns=on + lval)
         r = df[df[_SIDE] == "R"].reindex(columns=on + rval)
-        if how == "inner":
-            return l.merge(r, on=on, how="inner")
-        if how == "left":
-            return l.merge(r, on=on, how="left")
-        if how in ("right", "full"):
-            out = l.merge(r, on=on,
-                          how="right" if how == "right" else "outer")
-            # unmatched rows surface the other side's columns as NaN,
-            # which silently promotes ints to float64 — restore the
-            # pinned schema's integer/bool types via nullable dtypes
-            for f in schema:
-                if f.name in out.columns:
-                    d = out[f.name].dtype
-                    if d == "float64" or d == "float32":
-                        if pa.types.is_integer(f.type):
-                            out[f.name] = out[f.name].astype(
-                                str(f.type).capitalize().replace(
-                                    "Uint", "UInt"))
-                        elif pa.types.is_boolean(f.type):
-                            out[f.name] = out[f.name].astype("boolean")
-            return out
-        if how == "semi":
-            keys = r[on].drop_duplicates()
-            return l.merge(keys, on=on, how="inner")
-        if how == "anti":
-            keys = r[on].drop_duplicates()
-            m = l.merge(keys, on=on, how="left", indicator=True)
-            return m[m["_merge"] == "left_only"].drop(columns=["_merge"])
-        raise ValueError(f"unknown how={how!r}")
+        return _merge(l, r, on, how, schema)
 
     joined = bucketed_group_reduce(both, on, merge, num_buckets,
-                                   schema=schema)
+                                   schema=shuffled)
+    if ext:
+        joined = joined.map_batches(restore, batch_format="pyarrow")
     # a zero-row schema anchor: keeps column names/types on the result even
     # when no bucket emits anything (e.g. an anti-join with full coverage)
     return joined.union(rd.from_arrow(schema.empty_table()))
+
+
+def _broadcast(left: "ray.data.Dataset", right: "ray.data.Dataset",
+               on: List[str], how: str) -> "ray.data.Dataset":
+    """The broadcast placement: ``right`` is collected and ``ray.put``
+    once as Arrow; each probe batch casts its keys to the batch's key
+    types (as the co-group casts them to the left's) and runs
+    :func:`_merge` on the batch's key columns plus a row index, then takes
+    its matched rows in Arrow, so the probe side's other columns never
+    leave Arrow and its schema is never probed. inner | left | semi |
+    anti."""
+    import pyarrow.compute as pc
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"broadcast placement cannot run how={how!r}")
+    parts = [t for t in ray.get(right.to_arrow_refs()) if len(t)]
+    side = (pa.concat_tables(parts, promote_options="default") if parts
+            else pa.schema(list(_types(right).items())).empty_table())
+    if how in ("semi", "anti"):
+        side = side.select(on).group_by(on).aggregate([])
+    side = side.replace_schema_metadata(None)
+    rval = [f for f in side.schema if f.name not in on]
+    ref = ray.put(side)
+
+    def probe(t: pa.Table) -> pa.Table:
+        overlap = {f.name for f in rval} & set(t.column_names)
+        if overlap:
+            raise ValueError(f"non-key columns overlap: {sorted(overlap)}")
+        r = ray.get(ref)
+        for k in on:
+            if r[k].type != t[k].type:
+                r = r.set_column(r.schema.get_field_index(k), k,
+                                 pc.cast(r[k], t[k].type))
+        l = t.select(on).to_pandas()
+        l[_ROW] = np.arange(len(t))
+        out = _merge(l, r.to_pandas(), on, how, r.schema)
+        res = t.take(pa.array(out[_ROW].to_numpy(np.int64)))
+        for f in rval:
+            res = res.append_column(f, pa.Array.from_pandas(
+                out[f.name], type=f.type))
+        return res.replace_schema_metadata(None)
+
+    return left.map_batches(probe, batch_format="pyarrow")
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -176,7 +243,6 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     equal ``right_on`` values resolve to the row with its maximum —
     deterministic output (plain merge_asof tie order is input order).
     """
-    import numpy as np
     import pyarrow.compute as _pc
     import ray.data as rd
 
@@ -188,14 +254,6 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     overlap = set(lcols) & set(rcols)
     if overlap:
         raise ValueError(f"non-key columns overlap: {sorted(overlap)}")
-
-    def _pa_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
 
     ltypes = dict(zip(lschema.names, lschema.types))
     rtypes = dict(zip(rschema.names, rschema.types))
@@ -262,7 +320,6 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     timeline and materialized with an output-sized ``np.repeat`` gather —
     never a per-key cross product, so per-task memory is
     O(bucket + matches)."""
-    import numpy as np
     import pyarrow.compute as _pc
     import ray.data as rd
 
@@ -272,14 +329,6 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     overlap = set(lcols) & set(rcols)
     if overlap:
         raise ValueError(f"non-key columns overlap: {sorted(overlap)}")
-
-    def _pa_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
 
     ltypes = dict(zip(lschema.names, lschema.types))
     rtypes = dict(zip(rschema.names, rschema.types))
@@ -415,19 +464,20 @@ def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
               max_hot: int = 32,
               hot_threshold: int = 1_000_000) -> "ray.data.Dataset":
     """Skew-aware join: probe keys hotter than ``hot_threshold`` (found
-    with bounded heavy-hitter counting, no full shuffle) are joined
-    map-side against a broadcast of the build rows for JUST those keys;
+    with bounded heavy-hitter counting, no full shuffle) are joined in the
+    broadcast placement against the build rows for JUST those keys;
     everything else goes through the normal ``cogroup_join`` shuffle.
 
     This is the standard salting alternative for power-law keys: a single
     key with 10^9 probe rows would pin one co-group task for hours, while
     here its rows never shuffle at all — each probe block merges against
-    the tiny broadcast build slice in place. Both paths are exact, so
-    mis-classifying a key merely moves it to the other (still correct)
-    path; results are path-invariant.
+    the tiny broadcast build slice in place. Both placements run the same
+    kernel, so mis-classifying a key merely moves it to the other (still
+    correct) path; results are path-invariant.
 
     ``how``: inner | left. The broadcast slice is capped at
-    ``_HOT_BUILD_ROWS`` (falls back to the plain shuffle join above it).
+    ``_BROADCAST_SIDE_BYTES`` (falls back to the plain shuffle join above
+    it).
     """
     if how not in ("inner", "left"):
         raise ValueError(f"skew_join supports inner/left, got {how!r}")
@@ -439,8 +489,6 @@ def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
         return cogroup_join(probe, build, on=[on], how=how,
                             num_buckets=num_buckets)
 
-    # build rows for the hot keys only — by construction a tiny slice
-    # (|hot| dimension keys), collected once and broadcast via ray.put
     hot_arr = pa.array(hot)
 
     def _hot_mask(t: pa.Table):
@@ -454,63 +502,22 @@ def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
     def only_cold(t: pa.Table) -> pa.Table:
         return t.filter(_pc.invert(_hot_mask(t)))
 
-    hot_batches = list(build.map_batches(only_hot, batch_format="pyarrow")
-                       .iter_batches(batch_size=None, batch_format="pyarrow"))
-    build_hot = (pa.concat_tables(hot_batches, promote_options="default")
-                 if hot_batches else None)
-    if build_hot is None:
-        # a probe-hot key with zero build rows: empty build slice with the
-        # build side's real schema (hot probe rows then inner-drop /
-        # left-null exactly like the shuffle path would)
-        def _bt(t):
-            if isinstance(t, pa.DataType):
-                return t
-            try:
-                return pa.from_numpy_dtype(t)
-            except (pa.ArrowNotImplementedError, TypeError):
-                return pa.string()
-        bs = build.schema()
-        build_hot = pa.schema(
-            [(n, _bt(t)) for n, t in zip(bs.names, bs.types)]).empty_table()
-    if len(build_hot) > _HOT_BUILD_ROWS:
+    # build rows for the hot keys only — by construction a tiny slice
+    # (|hot| dimension keys); a probe-hot key with zero build rows leaves
+    # it empty, and its probe rows inner-drop / left-null as in the shuffle
+    build_hot = build.map_batches(only_hot,
+                                  batch_format="pyarrow").materialize()
+    if build_hot.size_bytes() > _BROADCAST_SIDE_BYTES:
         return cogroup_join(probe, build, on=[on], how=how,
                             num_buckets=num_buckets)
-    bdf_ref = ray.put(build_hot.to_pandas())
-
-    lschema, rschema = probe.schema(), build.schema()
-    rval = [c for c in rschema.names if c != on]
-
-    def _pa_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
-
-    schema = pa.schema(
-        [(n, _pa_type(t)) for n, t in zip(lschema.names, lschema.types)]
-        + [(n, _pa_type(t)) for n, t in zip(rschema.names, rschema.types)
-           if n != on])
-
-    def hot_merge(t: pa.Table) -> pa.Table:
-        t = only_hot(t)
-        if len(t) == 0:
-            return schema.empty_table()
-        out = t.to_pandas().merge(ray.get(bdf_ref), on=on, how=how)
-        for f in schema:        # left-join NaNs must not drift ints->float
-            if how == "left" and f.name in rval and pa.types.is_integer(
-                    f.type) and out[f.name].dtype.kind == "f":
-                out[f.name] = out[f.name].astype(
-                    str(f.type).capitalize().replace("Uint", "UInt"))
-        return pa.Table.from_pandas(out, schema=schema,
-                                    preserve_index=False)
-
-    hot_joined = probe.map_batches(hot_merge, batch_format="pyarrow")
+    hot_joined = _broadcast(probe.map_batches(only_hot,
+                                              batch_format="pyarrow"),
+                            build_hot, [on], how)
     cold_probe = probe.map_batches(only_cold, batch_format="pyarrow")
     # inner: hot build rows can never match a cold probe row, prune them
     # from the shuffle too; left: same, cold probe keys are disjoint
     cold_build = build.map_batches(only_cold, batch_format="pyarrow")
+    _, schema = _plan(_types(probe), _types(build), build, [on], how)
     cold_joined = cogroup_join(cold_probe, cold_build, on=[on], how=how,
                                num_buckets=num_buckets, schema=schema)
     return hot_joined.union(cold_joined)
@@ -519,60 +526,45 @@ def skew_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
 def broadcast_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
                    on: str, columns: Sequence[str],
                    how: str = "inner") -> "ray.data.Dataset":
-    """Map-side join: ``build`` (small) collected to a dict, ``ray.put``
-    once, looked up per probe batch. ``columns`` = build columns to append.
+    """The broadcast placement, forced: ``build``'s ``columns`` joined
+    onto ``probe`` by ``on`` with ``build`` (small) ``ray.put`` once.
     ``how`` inner drops probe rows without a match; left keeps them with
-    nulls."""
-    lookup = {}
-    for b in build.select_columns([on] + list(columns)).iter_batches(
-            batch_size=None, batch_format="pyarrow"):
-        rows = b.to_pylist()
-        for r in rows:
-            lookup[r[on]] = tuple(r[c] for c in columns)
-    ref = ray.put(lookup)
-
-    def f(t: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        keys = t[on].to_pylist()
-        hits = [m.get(k) for k in keys]
-        if how == "inner":
-            mask = pa.array([h is not None for h in hits])
-            t = t.filter(mask)
-            hits = [h for h in hits if h is not None]
-        for i, c in enumerate(columns):
-            t = t.append_column(
-                c, pa.array([h[i] if h else None for h in hits]))
-        return t
-
-    return probe.map_batches(f, batch_format="pyarrow")
+    nulls. A key repeated in ``build`` repeats its probe rows, as in any
+    join."""
+    return _broadcast(probe, build.select_columns([on] + list(columns)),
+                      [on], how)
 
 
 def auto_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               on: Sequence[str], how: str = "inner",
               num_buckets: int = 64) -> "ray.data.Dataset":
-    """Adaptive join: pick the physical strategy from measured sizes —
-    the engine-side version of a cost-based join planner. All strategies
-    are exact, so the choice never changes the result (pinned by test):
+    """Adaptive join: the one place that picks a placement, from the
+    materialized right side's bytes. Both placements run :func:`_merge`,
+    so the choice never changes the result (pinned by test):
 
-    - semi/anti with any right side → ``bloom_join`` (runtime filter:
+    - inner/left/semi/anti with a right side up to
+      ``_BROADCAST_SIDE_BYTES`` → the broadcast placement (map-side,
+      zero shuffle); semi/anti size only the right side's key columns;
+    - semi/anti on one key above it → ``bloom_join`` (runtime filter:
       the shuffle carries only the bloom-positive slice);
-    - inner/left with a right side under ``_BROADCAST_JOIN_ROWS`` AND a single
-      key column → ``broadcast_join`` (map-side, zero shuffle);
-    - everything else → ``cogroup_join`` (tagged-union bucketed
-      co-group). Power-law keys: call ``skew_join`` directly — hot-key
-      detection costs a pass, so it stays opt-in.
+    - everything else → ``cogroup_join``. Power-law keys: call
+      ``skew_join`` directly — hot-key detection costs a pass, so it
+      stays opt-in.
     """
     on = list(on)
+    if how in ("semi", "anti"):
+        right = right.select_columns(on)
+    if how in ("inner", "left", "semi", "anti"):
+        # materialize before the size probe: the size of a lazy right
+        # side executes its whole upstream, and whichever join runs next
+        # would execute it AGAIN
+        right = right.materialize()
+        if right.size_bytes() <= _BROADCAST_SIDE_BYTES:
+            return _broadcast(left, right, on, how)
     if how in ("semi", "anti") and len(on) == 1:
         from .bloom import bloom_join
-        return bloom_join(left, right.select_columns(on), on[0], how=how,
+        # keys cast to the left's types first: the Bloom filter hashes them
+        right, _ = _plan(_types(left), _types(right), right, on, how)
+        return bloom_join(left, right, on[0], how=how,
                           num_buckets=num_buckets)
-    if how in ("inner", "left") and len(on) == 1:
-        # materialize before the size probe: count() on a lazy right side
-        # executes its whole upstream, and whichever join runs next would
-        # execute it AGAIN
-        right = right.materialize()
-        if right.count() <= _BROADCAST_JOIN_ROWS:
-            cols = [c for c in right.schema().names if c != on[0]]
-            return broadcast_join(left, right, on[0], cols, how=how)
     return cogroup_join(left, right, on, how=how, num_buckets=num_buckets)

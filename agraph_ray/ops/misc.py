@@ -11,15 +11,14 @@
 - whole-graph JSON debug export (agraph/builders/llm_builders.py:1280,
   1303-1316 graph.json)
 
-Size constant: ``_SEMI_JOIN_IDS`` (10M ids) — up to it
-:func:`chunk_similarity_pairs` collects and broadcasts the candidate chunk
-ids to filter the relation lists; above it every list rides the shuffle.
+:func:`chunk_similarity_pairs` filters the relation lists to candidate
+chunks with a semi join through ``ops/join.py::auto_join``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import pandas as pd
 import pyarrow as pa
@@ -27,7 +26,6 @@ import pyarrow.compute as pc
 
 from ..ids import relation_id
 
-_SEMI_JOIN_IDS = 10_000_000
 
 REVERSE_RELATION_TYPE = {
     "contains": "belongs_to",
@@ -102,16 +100,15 @@ def chunk_similarity_pairs(linked_chunks: "ray.data.Dataset",
        pruned here. Entity-disjoint pairs score 0 (no relation without
        its endpoints), so blocking is lossless.
     2. Relation Jaccard is attached by co-grouping the candidates with the
-       relation lists of ONLY candidate-incident chunks (their ids — never
-       the lists — are collected and broadcast; above ``_SEMI_JOIN_IDS``
-       ids the filter is skipped and the full table rides the shuffle).
+       relation lists of ONLY candidate-incident chunks (a semi join on
+       their ids through ``ops/join.py::auto_join``; the lists never ride
+       it).
 
     The all-pairs reference scan is O(n²); this is candidate-bound.
     """
-    import numpy as np
-    import ray
     import ray.data as rd
     from ..stages.common import bucketed_group_reduce, distinct_on
+    from .join import auto_join
 
     # signed-int64 stable hashes for the id lists: the ids carry 32 bits of
     # entropy (md5[:8] hex), so at ~10^5 distinct ids a 32-bit hash
@@ -202,29 +199,15 @@ def chunk_similarity_pairs(linked_chunks: "ray.data.Dataset",
         ["chunk_a", "chunk_b"], num_buckets).materialize()
 
     # ---- phase 2: relation Jaccard for the candidates only ----
-    ids: Optional[set] = set()
-    for b in cand.select_columns(["chunk_a", "chunk_b"]).iter_batches(
-            batch_size=None, batch_format="pyarrow"):
-        ids.update(b["chunk_a"].to_pylist())
-        ids.update(b["chunk_b"].to_pylist())
-        if len(ids) > _SEMI_JOIN_IDS:
-            ids = None
-            break
-
-    rels = linked_chunks.select_columns(["chunk_id", "relations"])
-    if ids is not None:
-        if not ids:
-            return rd.from_arrow(pa.schema(
-                [("chunk_a", pa.string()), ("chunk_b", pa.string()),
-                 ("similarity", pa.float64())]).empty_table())
-        wanted_ref = ray.put(ids)
-
-        def keep(t: pa.Table) -> pa.Table:
-            w = ray.get(wanted_ref)
-            return t.filter(pa.array(
-                [c in w for c in t["chunk_id"].to_pylist()]))
-
-        rels = rels.map_batches(keep, batch_format="pyarrow")
+    if cand.count() == 0:
+        return rd.from_arrow(pa.schema(
+            [("chunk_a", pa.string()), ("chunk_b", pa.string()),
+             ("similarity", pa.float64())]).empty_table())
+    ends = cand.map_batches(lambda t: pa.table({"chunk_id": pa.concat_arrays(
+        [t["chunk_a"].combine_chunks(), t["chunk_b"].combine_chunks()])}),
+        batch_format="pyarrow")
+    rels = auto_join(linked_chunks.select_columns(["chunk_id", "relations"]),
+                     ends, ["chunk_id"], how="semi", num_buckets=num_buckets)
 
     def hash_rels(t: pa.Table) -> pa.Table:
         rh = [sorted({_h64(r) for r in rs or []})

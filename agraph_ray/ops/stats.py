@@ -10,9 +10,8 @@ The rank rule is pinned so a SQL oracle can reproduce it bit-for-bit:
 (nearest-rank, half-up on the (n-1) scale) — no interpolation, result is
 always an element of the input.
 
-Size constant: ``_GROUP_BROADCAST_ROWS`` (10M groups) — up to it
-:func:`grouped_zscore` broadcasts its per-group stats table; above it the
-table joins back by group.
+:func:`grouped_zscore` joins its per-group stats back through
+``ops/join.py::auto_join``, which picks broadcast or co-group.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.common import arrow_col_type, bucketed_group_reduce
-
-_GROUP_BROADCAST_ROWS = 10_000_000
 
 
 def _key_hash32(vals) -> np.ndarray:
@@ -602,32 +599,23 @@ def grouped_zscore(ds: "ray.data.Dataset", group_col: str, val_col: str,
     """Population z-score of ``val_col`` within each group, appended as
     ``out_col`` — the per-language/per-source feature normalization op.
 
-    Two passes, no row shuffle in the common case: per-batch (group, n,
-    Σv, Σv²) partials reduce to one tiny stats table (|groups| rows),
-    broadcast once; the second pass is map-side arithmetic. Beyond
-    ``_GROUP_BROADCAST_ROWS`` distinct groups the stats table joins back
-    by group (one co-group shuffle) instead — identical output, no
-    driver-memory cliff. Zero-variance groups emit z = 0."""
-    import ray
+    Two passes: per-batch (group, n, Σv, Σv²) partials reduce to one tiny
+    stats table (|groups| rows), which left-joins back by group through
+    ``ops/join.py::auto_join`` (broadcast while small, co-grouped above
+    its size constant); one map then computes z. A null group is its own
+    group, like SQL's ``PARTITION BY``. Zero-variance groups emit z = 0."""
     from ray.data.aggregate import Sum
+
+    from .join import auto_join
 
     def partial(t: pa.Table) -> pa.Table:
         v = pc.cast(t[val_col], pa.float64()).to_numpy(zero_copy_only=False)
         g = t[group_col].to_pandas()
         d = pd.DataFrame({"g": g, "n": 1, "s": v, "ss": v * v})
-        agg = d.groupby("g", as_index=False).sum()
+        agg = d.groupby("g", as_index=False, dropna=False).sum()
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    # materialized: the lazy count() probe below plus take_all/join would
-    # otherwise execute the whole moment pass twice
-    stats = (ds.select_columns([group_col, val_col])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("g").aggregate(Sum("n", alias_name="n"),
-                                     Sum("s", alias_name="s"),
-                                     Sum("ss", alias_name="ss"))
-             .materialize())
-
-    def _ms(t: pa.Table) -> pa.Table:
+    def mean_std(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
         s = t["s"].to_numpy(zero_copy_only=False)
         ss = t["ss"].to_numpy(zero_copy_only=False)
@@ -637,41 +625,23 @@ def grouped_zscore(ds: "ray.data.Dataset", group_col: str, val_col: str,
                          "__mean": pa.array(mean, pa.float64()),
                          "__std": pa.array(std, pa.float64())})
 
-    if stats.count() > _GROUP_BROADCAST_ROWS:
-        from .join import cogroup_join
-        joined = cogroup_join(
-            ds, stats.map_batches(_ms, batch_format="pyarrow"),
-            on=[group_col])
+    stats = (ds.select_columns([group_col, val_col])
+             .map_batches(partial, batch_format="pyarrow")
+             .groupby("g").aggregate(Sum("n", alias_name="n"),
+                                     Sum("s", alias_name="s"),
+                                     Sum("ss", alias_name="ss"))
+             .map_batches(mean_std, batch_format="pyarrow"))
 
-        def apply_joined(t: pa.Table) -> pa.Table:
-            v = pc.cast(t[val_col], pa.float64()).to_numpy(
-                zero_copy_only=False)
-            mean = t["__mean"].to_numpy(zero_copy_only=False)
-            std = t["__std"].to_numpy(zero_copy_only=False)
-            z = np.where(std > 0, (v - mean) / np.where(std > 0, std, 1),
-                         0.0)
-            return t.drop_columns(["__mean", "__std"]).append_column(
-                out_col, pa.array(z, pa.float64()))
-
-        return joined.map_batches(apply_joined, batch_format="pyarrow")
-
-    lut: dict = {}
-    for r in stats.take_all():
-        n, s, ss = r["n"], r["s"], r["ss"]
-        mean = s / n
-        var = max(ss / n - mean * mean, 0.0)
-        lut[r["g"]] = (mean, var ** 0.5)
-    ref = ray.put(lut)
-
-    def apply(t: pa.Table) -> pa.Table:
-        lu = ray.get(ref)
+    def z(t: pa.Table) -> pa.Table:
         v = pc.cast(t[val_col], pa.float64()).to_numpy(zero_copy_only=False)
-        ms = np.array([lu[g] for g in t[group_col].to_pylist()])
-        std = ms[:, 1]
-        z = np.where(std > 0, (v - ms[:, 0]) / np.where(std > 0, std, 1), 0.0)
-        return t.append_column(out_col, pa.array(z, pa.float64()))
+        mean = t["__mean"].to_numpy(zero_copy_only=False)
+        std = t["__std"].to_numpy(zero_copy_only=False)
+        z = np.where(std > 0, (v - mean) / np.where(std > 0, std, 1), 0.0)
+        return t.drop_columns(["__mean", "__std"]).append_column(
+            out_col, pa.array(z, pa.float64()))
 
-    return ds.map_batches(apply, batch_format="pyarrow")
+    return auto_join(ds, stats, [group_col], how="left").map_batches(
+        z, batch_format="pyarrow")
 
 
 def winsorize(ds: "ray.data.Dataset", value_col: str,

@@ -12,10 +12,10 @@ same result comes from a bucketed shuffle:
 - ``_VOCAB_BROADCAST_ROWS`` (5M words): the kept vocabulary of
   :func:`vocab_prune` and the unigram model of :func:`unigram_logprob`;
 - ``_KILL_BROADCAST_ROWS`` (2M rows): the kill list of
-  :func:`remove_duplicate_spans`;
-- ``_EVAL_BROADCAST_BYTES`` (256 MB) and ``_ID_BROADCAST_ROWS`` (5M ids):
-  the eval grams and, past those, the contaminated ids of
-  :func:`decontaminate_ngrams`.
+  :func:`remove_duplicate_spans`.
+
+:func:`decontaminate_ngrams` joins through ``ops/join.py::auto_join``,
+which picks broadcast or co-group.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import pyarrow.compute as pc
 # RE2 syntax in both pyarrow and DuckDB → identical semantics in the oracle.
 _VOCAB_BROADCAST_ROWS = 5_000_000
 _KILL_BROADCAST_ROWS = 2_000_000
-_EVAL_BROADCAST_BYTES = 256 << 20
-_ID_BROADCAST_ROWS = 5_000_000
 
 _TOKEN_RE = r"\S+"
 _PUNCT_RE = r"[[:punct:]]"
@@ -1264,141 +1262,36 @@ def decontaminate_ngrams(train: "ray.data.Dataset",
     ``mode="mark"`` appends an int64 0/1 ``contaminated`` column;
     ``mode="drop"`` filters contaminated docs out.
 
-    Shuffle shape: eval sets are benchmarks — small by construction — so
-    the primary path broadcasts their sorted distinct grams (one driver
-    collect under ``_EVAL_BROADCAST_BYTES``, no shuffle) and the train
-    side, the 100-TB side, gets two pure map passes (exact searchsorted
-    membership; contaminated ids fold per batch). Beyond the guard the
-    distributed shape takes over: distinct eval grams, a Bloom
-    runtime-filter pruning train gram rows MAP-SIDE before the one
-    gram-keyed exact semi join (the Spark runtime-filter pattern), and a
-    broadcast (or co-grouped, above ``_ID_BROADCAST_ROWS``) contaminated-id
-    mark/drop. Exact string grams decide membership on every path, so
-    there are no false positives at any scale."""
-    import ray
+    Two joins through ``ops/join.py::auto_join``: train (id, gram) rows
+    semi-join the eval grams (eval sets are benchmarks, small by
+    construction, so the grams are broadcast and the train side gets map
+    passes only; large eval sets go through the Bloom-filtered co-group),
+    then the contaminated ids anti-join (drop) or, made distinct,
+    left-join (mark) the train docs. Exact string grams decide membership on every
+    path, so there are no false positives at any scale."""
+    import ray.data as rd
 
-    from ..stages.common import bucketed_group_reduce, distinct_on
-    from .bloom import _member_mask, build_bloom
-    from .join import cogroup_join
+    from ..stages.common import distinct_on
+    from .join import auto_join
 
-    # Fast path — and the 100-TB-correct shape: eval sets are BENCHMARKS
-    # (small by construction), so their distinct grams broadcast and the
-    # huge train side only ever gets map passes. Collect per-batch
-    # distinct eval grams straight to the driver (one streaming pass, no
-    # shuffle) under a size guard; exact membership is a searchsorted
-    # against the sorted unique gram array — no bloom, no join, and
-    # contaminated ids fold map-side per batch.
-    ev_rows = (eval_ds.map_batches(_doc_gram_rows(id_col, col, n),
-                                   batch_format="pyarrow")
-               .select_columns(["gram"])
-               .map_batches(lambda t: t.group_by("gram").aggregate([]),
-                            batch_format="pyarrow"))
-    gram_chunks, gbytes, gover = [], 0, False
-    it = ev_rows.iter_batches(batch_size=None, batch_format="pyarrow")
-    for bt in it:
-        g = bt["gram"].combine_chunks()
-        gram_chunks.append(g)
-        gbytes += g.nbytes
-        if gbytes > _EVAL_BROADCAST_BYTES:
-            gover = True
-            del it
-            break
+    def grams(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+        return ds.map_batches(_doc_gram_rows(id_col, col, n),
+                              batch_format="pyarrow")
 
-    if not gover:
-        ev_arr = np.unique(np.asarray(
-            pa.concat_arrays(gram_chunks).to_pylist(), dtype=object)) \
-            if gram_chunks else np.empty(0, object)
-        gref = ray.put(ev_arr)
-
-        def find_ids(t: pa.Table) -> pa.Table:
-            ev = ray.get(gref)
-            if len(ev) == 0 or len(t) == 0:
-                return pa.table({id_col: pa.array([], pa.int64())})
-            grams = np.asarray(t["gram"].to_pylist(), dtype=object)
-            i = np.searchsorted(ev, grams)
-            hit = (i < len(ev)) & (ev[np.clip(i, 0, len(ev) - 1)] == grams)
-            ids = np.unique(t[id_col].to_numpy(
-                zero_copy_only=False)[hit].astype(np.int64))
-            return pa.table({id_col: pa.array(ids, pa.int64())})
-
-        bad_chunks = [bt[id_col].to_numpy(zero_copy_only=False)
-                      for bt in train
-                      .map_batches(_doc_gram_rows(id_col, col, n),
-                                   batch_format="pyarrow")
-                      .map_batches(find_ids, batch_format="pyarrow")
-                      .iter_batches(batch_size=None,
-                                    batch_format="pyarrow")]
-        bad = (np.unique(np.concatenate(bad_chunks).astype(np.int64))
-               if bad_chunks else np.zeros(0, np.int64))
-        ref = ray.put(bad)
-
-        def mark(t: pa.Table) -> pa.Table:
-            b = ray.get(ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            i = np.searchsorted(b, ids)
-            hit = (i < len(b)) & (b[np.clip(i, 0, max(len(b) - 1, 0))]
-                                  == ids) if len(b) else \
-                np.zeros(len(t), dtype=bool)
-            if mode == "drop":
-                return t.filter(pa.array(~hit))
-            return t.append_column(
-                "contaminated", pa.array(hit.astype(np.int64), pa.int64()))
-
-        return train.map_batches(mark, batch_format="pyarrow")
-
-    # Eval grams beyond the broadcast guard: the original distributed
-    # shape — distinct eval grams, Bloom runtime-filter on the train
-    # gram stream, one gram-keyed exact semi join, distinct ids.
-    del gram_chunks
-    ev_grams = distinct_on(ev_rows, ["gram"], num_buckets).materialize()
-    tr_grams = train.map_batches(_doc_gram_rows(id_col, col, n),
-                                 batch_format="pyarrow")
-
-    m_bits, kh = 1 << 23, 7
-    bloom = build_bloom(ev_grams, "gram", m_bits, kh)
-    bref = ray.put(bloom)
-
-    def prefilter(t: pa.Table) -> pa.Table:
-        b = ray.get(bref)
-        keep = _member_mask(b, t["gram"].to_pandas(), m_bits, kh)
-        return t.filter(pa.array(keep))
-
-    cand = tr_grams.map_batches(prefilter, batch_format="pyarrow")
-    hits = cogroup_join(cand, ev_grams, on=["gram"], how="semi",
-                        num_buckets=num_buckets)
-    contaminated = distinct_on(hits.select_columns([id_col]), [id_col],
-                               num_buckets).materialize()
-
-    if contaminated.count() <= _ID_BROADCAST_ROWS:
-        bad = np.sort(np.asarray(
-            [r[id_col] for r in contaminated.take_all()], dtype=np.int64))
-        ref = ray.put(bad)
-
-        def mark2(t: pa.Table) -> pa.Table:
-            b = ray.get(ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            hit = np.zeros(len(t), dtype=bool)
-            if len(b):
-                i = np.searchsorted(b, ids)
-                hit = (i < len(b)) & (b[np.clip(i, 0, len(b) - 1)] == ids)
-            if mode == "drop":
-                return t.filter(pa.array(~hit))
-            return t.append_column(
-                "contaminated",
-                pa.array(hit.astype(np.int64), pa.int64()))
-
-        return train.map_batches(mark2, batch_format="pyarrow")
-
-    # contaminated set too large to broadcast: co-group by id
-    flag = contaminated.map_batches(
+    ev_grams = grams(eval_ds).select_columns(["gram"])
+    hits = auto_join(grams(train), ev_grams, ["gram"], how="semi",
+                     num_buckets=num_buckets).select_columns([id_col])
+    if mode == "drop":
+        return auto_join(train, hits, [id_col], how="anti",
+                         num_buckets=num_buckets)
+    flag = distinct_on(hits, [id_col], num_buckets).map_batches(
         lambda t: t.append_column("contaminated",
                                   pa.array([1] * len(t), pa.int64())),
-        batch_format="pyarrow")
-    if mode == "drop":
-        return cogroup_join(train, contaminated, on=[id_col], how="anti",
-                            num_buckets=num_buckets)
-    joined = cogroup_join(train, flag, on=[id_col], how="left",
-                          num_buckets=num_buckets)
+        batch_format="pyarrow").union(rd.from_arrow(pa.table({
+            id_col: pa.array([], pa.int64()),
+            "contaminated": pa.array([], pa.int64())})))
+    joined = auto_join(train, flag, [id_col], how="left",
+                       num_buckets=num_buckets)
     return joined.map_batches(
         lambda t: t.set_column(
             t.schema.get_field_index("contaminated"), "contaminated",

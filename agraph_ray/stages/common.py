@@ -16,19 +16,37 @@ from typing import Callable, List, Optional
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 BUCKET_COL = "__bucket"
+
+
+def hash_frame(t: pa.Table, keys: List[str]) -> pd.DataFrame:
+    """The pandas frame of ``t``'s ``keys`` that key hashes read. A null
+    in an integer or bool key turns its block's pandas column into float
+    / object, which hashes 1 and 1.0 apart: nulls are filled with the
+    type's zero, so an equal key hashes equal in every block."""
+    kt = t.select(keys)
+    for i, c in enumerate(kt.columns):
+        if c.null_count and (pa.types.is_integer(c.type)
+                             or pa.types.is_boolean(c.type)):
+            kt = kt.set_column(i, keys[i], pc.fill_null(
+                c, pa.scalar(0).cast(c.type)))
+    return kt.to_pandas()
 
 
 def _add_bucket(keys: List[str], num_buckets: int):
     def add(t: pa.Table) -> pa.Table:
         # deterministic across processes (fixed pandas hash key); hash only
         # the key columns, keep the block itself zero-copy Arrow (pandas
-        # object-dtype list columns defeat Ray's block size estimator)
-        h = pd.util.hash_pandas_object(
-            t.select(keys).to_pandas(), index=False).to_numpy()
+        # object-dtype list columns defeat Ray's block size estimator).
+        # Pandas schema metadata is dropped: it makes the schema
+        # unhashable ("Failed to hash the schemas" in the sort).
+        h = pd.util.hash_pandas_object(hash_frame(t, keys),
+                                       index=False).to_numpy()
         return t.append_column(
-            BUCKET_COL, pa.array((h % num_buckets).astype("int32")))
+            BUCKET_COL, pa.array((h % num_buckets).astype("int32"))
+        ).replace_schema_metadata(None)
     return add
 
 

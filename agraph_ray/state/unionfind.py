@@ -221,3 +221,30 @@ def components_to_canonical_map(labels: "ray.data.Dataset") -> Dict[str, str]:
         out.update(zip(b["node"].to_pylist(), b["label"].to_pylist()))
         assert len(out) < 50_000_000, "canonical map too large to broadcast"
     return out
+
+
+def non_min_members(labels: "ray.data.Dataset", id_col: str,
+                    id_type: pa.DataType) -> "ray.data.Dataset":
+    """``id_col`` rows of every labelled node that is not the smallest
+    member of its component — the survivor rule "keep the min id per
+    component" as a kill list. Ids compare in ``id_type``: for integer
+    ids the string label is the lexicographic min ("102" < "2"), not the
+    survivor. One bucketed reduce by label; its size is bounded by the
+    matched set, never the corpus."""
+    import ray.data as rd
+
+    from ..stages.common import bucketed_group_reduce
+
+    def typed(t: pa.Table) -> pa.Table:
+        return pa.table({"label": t["label"],
+                         id_col: pc.cast(t["node"], id_type)})
+
+    def non_min(df: pd.DataFrame) -> pd.DataFrame:
+        first = df.groupby("label")[id_col].transform("min")
+        return df.loc[df[id_col] != first, [id_col]]
+
+    schema = pa.schema([(id_col, id_type)])
+    # the empty anchor keeps the schema when no component has two members
+    return bucketed_group_reduce(
+        labels.map_batches(typed, batch_format="pyarrow"), ["label"],
+        non_min, schema=schema).union(rd.from_arrow(schema.empty_table()))

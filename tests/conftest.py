@@ -26,7 +26,7 @@ def force_side():
     """``force_side(module, NAME=value, ...)`` is a context manager that
     sets size constants of the module named ``module`` (dotted path) for
     its body, e.g. ``with force_side("agraph_ray.ops.join",
-    _BROADCAST_JOIN_ROWS=0):`` sends ``auto_join`` to its co-group side.
+    _BROADCAST_SIDE_BYTES=0):`` sends ``auto_join`` to its co-group side.
     A name the module lacks raises, so a renamed constant cannot leave a
     test on the default side. Only decisions made on the driver see the
     value: a Ray worker imports its own copy of the module."""

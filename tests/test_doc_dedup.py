@@ -23,7 +23,7 @@ def _corpus():
     return pa.table({"doc_id": list(range(len(docs))), "text": docs})
 
 
-def test_minhash_dedup_distributed_verify(ray_session):
+def test_minhash_dedup_distributed_verify(ray_session, force_side):
     import ray.data as rd
     from agraph_ray.ops.dedup import minhash_dedup
     ds = rd.from_arrow(_corpus())
@@ -31,6 +31,10 @@ def test_minhash_dedup_distributed_verify(ray_session):
     ids = sorted(out.to_pandas()["doc_id"].tolist())
     # min id survives each near-dup component; singletons untouched
     assert ids == [0, 2, 4, 5]
+    # the co-group placement of the survivor anti join agrees
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
+        out = minhash_dedup(ds, jaccard_threshold=0.7)
+        assert sorted(out.to_pandas()["doc_id"].tolist()) == ids
 
 
 def test_ngram_jaccard_pairs_distributed(ray_session):
@@ -299,7 +303,7 @@ def test_cdc_chunking_shift_invariance(ray_session):
 def test_line_dedup_broadcast_and_antijoin_paths_agree(ray_session,
                                                        force_side):
     """Corpus-level first-occurrence turn dedup: the kill-list broadcast
-    path and the beyond-cap anti-join path (_KILL_BROADCAST_ROWS=0) keep
+    placement and the co-group one (_BROADCAST_SIDE_BYTES=0) keep
     exactly the same (conv_id, turn_idx) winners — min lexicographic per
     text."""
     import pandas as pd
@@ -320,7 +324,7 @@ def test_line_dedup_broadcast_and_antijoin_paths_agree(ray_session,
         return sorted(zip(df["conv_id"], df["turn_idx"]))
 
     got_b = key_set(line_dedup(ds))
-    with force_side("agraph_ray.ops.dedup", _KILL_BROADCAST_ROWS=0):
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         got_a = key_set(line_dedup(ds))
     # pandas reference: first (conv_id, turn_idx) per distinct text
     ref = (pd.DataFrame(rows).sort_values(["conv_id", "turn_idx"])
@@ -385,8 +389,8 @@ def test_neardedup_against(ray_session, force_side):
     out2 = neardedup_against(rd.from_pandas(new), rd.from_pandas(old),
                              jaccard_threshold=0.99).to_pandas()
     assert sorted(out2["doc_id"]) == [1, 2, 3]
-    # beyond-cap anti-join path keeps the same survivors
-    with force_side("agraph_ray.ops.dedup", _KILL_BROADCAST_ROWS=0):
+    # the co-group placement of the anti join keeps the same survivors
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         out3 = neardedup_against(rd.from_pandas(new), rd.from_pandas(old),
                                  jaccard_threshold=0.7).to_pandas()
     assert sorted(out3["doc_id"]) == [2]

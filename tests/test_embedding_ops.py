@@ -45,7 +45,7 @@ def test_centroid_outlier_scores(ray_session):
         assert got == int(np.floor(cos * 1e6 + 0.5))
 
 
-def test_semdedup_removes_planted_duplicates(ray_session):
+def test_semdedup_removes_planted_duplicates(ray_session, force_side):
     import ray.data as rd
     from agraph_ray.ops.embedding import semdedup, semdedup_pairs
     rng = np.random.default_rng(3)
@@ -66,6 +66,10 @@ def test_semdedup_removes_planted_duplicates(ray_session):
     surv = semdedup(ds, threshold=0.99, n_clusters=8).to_pandas()
     kept = set(surv["vec_id"])
     assert kept == set(range(50))       # min-id survivor per dup pair
+    # the co-group placement of the survivor anti join agrees
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
+        surv = semdedup(ds, threshold=0.99, n_clusters=8).to_pandas()
+    assert set(surv["vec_id"]) == kept
 
 
 def test_embedding_pca_recovers_planted_axis(ray_session):

@@ -66,12 +66,12 @@ def test_triangle_counts_vs_brute(ray_session):
 
 
 def test_triangle_counts_shuffle_join_path(ray_session, force_side):
-    """_BROADCAST_ROWS=0 forces the cogroup-join degree attachment."""
+    """_BROADCAST_SIDE_BYTES=0 forces the co-group degree attachment."""
     import ray.data as rd
     from agraph_ray.ops.graph_algo import triangle_counts
     df = _random_edges(40, 200, seed=9)
     exp = _brute_triangles(df)
-    with force_side(GA, _BROADCAST_ROWS=0):
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         out = triangle_counts(rd.from_pandas(df)).to_pandas()
     got = dict(zip(out["node"], out["n_tri"]))
     assert got == exp
@@ -201,7 +201,7 @@ def test_link_prediction_join_path_equals_broadcast(ray_session,
                           "p": rng.integers(0, 50, 400)})
     ds = rd.from_pandas(edges)
     b = link_prediction_scores(ds, "s", "p", k=1000).to_pandas()
-    with force_side(GA, _LINK_DEGREE_BROADCAST_ROWS=0):
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         j = link_prediction_scores(ds, "s", "p", k=1000).to_pandas()
     pd.testing.assert_frame_equal(b, j)
 

@@ -52,12 +52,12 @@ def test_broadcast_join(lr):
     left, right = lr
     out = broadcast_join(left, right, on="k", columns=["rv"],
                          how="inner").to_pandas()
-    # dict build keeps last duplicate (3 -> z)
+    # a repeated build key repeats its probe row, as in cogroup_join
     assert sorted(map(tuple, out[["k", "rv"]].values.tolist())) == \
-        [(2, "x"), (3, "z")]
+        [(2, "x"), (3, "y"), (3, "z")]
     out_l = broadcast_join(left, right, on="k", columns=["rv"],
                            how="left").to_pandas()
-    assert len(out_l) == 4
+    assert len(out_l) == 5
 
 
 def test_sessionize(ray_session):

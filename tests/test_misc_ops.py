@@ -52,8 +52,8 @@ def test_chunk_similarity_pairs(ray_session, force_side):
     assert (row["chunk_a"], row["chunk_b"]) == ("c1", "c2")
     assert abs(row["similarity"] - 1.0) < 1e-9   # identical sets
     # same pair must not appear twice despite two shared-entity blocks
-    # past the semi-join cap every relation list rides the shuffle
-    with force_side("agraph_ray.ops.misc", _SEMI_JOIN_IDS=0):
+    # the co-group placement of the candidate-id semi join
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         full = chunk_similarity_pairs(chunks, threshold=0.2).to_pandas()
     pd.testing.assert_frame_equal(out, full)
 
@@ -250,24 +250,17 @@ def test_decontaminate_ngrams_mark_and_drop(ray_session, force_side):
     kept = decontaminate_ngrams(rd.from_pandas(train), rd.from_pandas(ev),
                                 n=3, mode="drop").to_pandas()
     assert sorted(kept["doc_id"]) == [2, 4]
-    # distributed bloom+join path (eval grams beyond the broadcast
-    # guard) gives the same answer
-    with force_side("agraph_ray.ops.text", _EVAL_BROADCAST_BYTES=0):
+    # co-group placement of both joins (the gram semi join through the
+    # Bloom filter, the id join by co-group) gives the same answer
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         out2 = decontaminate_ngrams(rd.from_pandas(train),
                                     rd.from_pandas(ev), n=3).to_pandas() \
             .sort_values("doc_id")
-    assert list(out2["contaminated"]) == [1, 0, 0]
-    # ...and its cogroup mark branch (contaminated ids beyond the limit)
-    with force_side("agraph_ray.ops.text", _EVAL_BROADCAST_BYTES=0,
-                    _ID_BROADCAST_ROWS=0):
-        out3 = decontaminate_ngrams(rd.from_pandas(train),
-                                    rd.from_pandas(ev), n=3).to_pandas() \
-            .sort_values("doc_id")
-        kept3 = decontaminate_ngrams(rd.from_pandas(train),
+        kept2 = decontaminate_ngrams(rd.from_pandas(train),
                                      rd.from_pandas(ev), n=3,
                                      mode="drop").to_pandas()
-    assert list(out3["contaminated"]) == [1, 0, 0]
-    assert sorted(kept3["doc_id"]) == [2, 4]
+    assert list(out2["contaminated"]) == [1, 0, 0]
+    assert sorted(kept2["doc_id"]) == [2, 4]
 
 
 def test_word_pmi_hand_computed(ray_session):

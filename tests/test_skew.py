@@ -52,7 +52,7 @@ def test_skew_path_invariance(ray_session, force_side):
                        hot_threshold=5_000).to_pandas()
     all_cold = skew_join(probe, build, on="k",
                          hot_threshold=10**12).to_pandas()
-    with force_side("agraph_ray.ops.join", _HOT_BUILD_ROWS=0):
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
         over_cap = skew_join(probe, build, on="k",
                              hot_threshold=5_000).to_pandas()
     assert sorted(zip(hybrid.v, hybrid.name)) == \
@@ -101,7 +101,12 @@ def test_skew_rejects_bad_how(ray_session):
 
 
 def test_auto_join_strategies_agree(ray_session, force_side):
+    """Both placements of ``auto_join`` (broadcast by default, co-group /
+    bloom when the size constant is 0) give the co-group reference's rows
+    for all four hows — also with a right side that repeats keys and holds
+    a null key (a broadcast dict once kept only the last match)."""
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
     from agraph_ray.ops.join import auto_join, cogroup_join
     import numpy as np
@@ -109,19 +114,30 @@ def test_auto_join_strategies_agree(ray_session, force_side):
     l = pd.DataFrame({"k": rng.integers(0, 50, 300),
                       "v": np.arange(300)})
     r = pd.DataFrame({"k": np.arange(0, 60, 2), "w": np.arange(30)})
-    dl, dr = rd.from_pandas(l), rd.from_pandas(r)
-    for how in ("inner", "left", "semi", "anti"):
-        fast = auto_join(dl, dr, ["k"], how=how).to_pandas()
-        ref = cogroup_join(dl, dr.select_columns(
-            ["k"] + ([] if how in ("semi", "anti") else ["w"])),
-            ["k"], how=how).to_pandas()
-        key = sorted(map(tuple,
-                         fast[sorted(fast.columns)].fillna(-9e9).values))
-        kref = sorted(map(tuple,
-                          ref[sorted(ref.columns)].fillna(-9e9).values))
-        assert key == kref, how
-    # large build side routes to the shuffle join (still correct)
-    with force_side("agraph_ray.ops.join", _BROADCAST_JOIN_ROWS=0):
-        big = auto_join(dl, dr, ["k"], how="inner").to_pandas()
-    assert len(big) == len(auto_join(dl, dr, ["k"], how="inner")
-                           .to_pandas())
+    dl = rd.from_pandas(l)
+    plain = rd.from_pandas(r)
+    dup_null = rd.from_arrow(pa.table({
+        "k": pa.array([1, 1, 2, None, 4, 4, 4], pa.int64()),
+        "w": pa.array(np.arange(7), pa.int64())}))
+
+    def rows(df):
+        return sorted(map(tuple, df[sorted(df.columns)].fillna(-9e9)
+                          .astype(float).values))
+
+    for dr in (plain, dup_null):
+        for how in ("inner", "left", "semi", "anti"):
+            ref = cogroup_join(dl, dr.select_columns(
+                ["k"] + ([] if how in ("semi", "anti") else ["w"])),
+                ["k"], how=how).to_pandas()
+            want = l.merge(r if dr is plain else dr.to_pandas(),
+                           on="k", how="left", indicator=True)
+            n = {"inner": (want["_merge"] == "both").sum(),
+                 "left": len(want),
+                 "semi": l.k.isin(dr.to_pandas().k).sum(),
+                 "anti": (~l.k.isin(dr.to_pandas().k)).sum()}[how]
+            assert len(ref) == n, how
+            bcast = auto_join(dl, dr, ["k"], how=how).to_pandas()
+            with force_side("agraph_ray.ops.join",
+                            _BROADCAST_SIDE_BYTES=0):
+                shuffled = auto_join(dl, dr, ["k"], how=how).to_pandas()
+            assert rows(bcast) == rows(ref) == rows(shuffled), how

@@ -288,6 +288,8 @@ def test_validate_expectations_detects_violations(ray_session):
 
 
 def test_grouped_zscore_join_path_equals_broadcast(ray_session, force_side):
+    """Both placements of the stats join give the same z; a null group is
+    its own group (DuckDB's PARTITION BY g keeps it), here with z = 0."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -295,13 +297,23 @@ def test_grouped_zscore_join_path_equals_broadcast(ray_session, force_side):
     rng = np.random.default_rng(51)
     df = pd.DataFrame({"g": rng.integers(0, 6, 200).astype("int64"),
                        "v": rng.normal(size=200)})
-    b = grouped_zscore(rd.from_pandas(df), "g", "v").to_pandas() \
-        .sort_values(["g", "v"]).reset_index(drop=True)
-    with force_side("agraph_ray.ops.stats", _GROUP_BROADCAST_ROWS=0):
-        j = grouped_zscore(rd.from_pandas(df), "g", "v").to_pandas() \
-            .sort_values(["g", "v"]).reset_index(drop=True)
+    nulls = pd.DataFrame({"g": ["x", "x", None, "y", "y"],
+                          "v": [1.0, 3.0, 5.0, 2.0, 2.0]})
+
+    def run(frame):
+        return grouped_zscore(rd.from_pandas(frame), "g", "v").to_pandas() \
+            .sort_values(["v", "g"]).reset_index(drop=True)
+
+    b, bn = run(df), run(nulls)
+    with force_side("agraph_ray.ops.join", _BROADCAST_SIDE_BYTES=0):
+        j, jn = run(df), run(nulls)
     assert np.allclose(b["z"], j["z"], atol=1e-12)
     assert (b["g"] == j["g"]).all()
+    for got in (bn, jn):
+        assert got["v"].tolist() == [1.0, 2.0, 2.0, 3.0, 5.0]
+        assert got["g"].tolist()[:4] == ["x", "y", "y", "x"]
+        assert got["g"].isna().tolist() == [False] * 4 + [True]
+        assert np.allclose(got["z"], [-1.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def test_scd2_apply_hand_computed(ray_session):
